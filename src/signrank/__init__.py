@@ -53,8 +53,11 @@ from .sign_search import (
 )
 from .weight_search import WeightSearchOutcome, find_singular_weight, verify_weight
 from .zero_sum_flow import (
+    FlowObstruction,
     FlowProblem,
     find_zero_sum_flow,
     flow_exists_nonbipartite_test,
+    flow_obstruction,
     verify_flow,
+    verify_obstruction,
 )

@@ -25,6 +25,16 @@ _THEOREM_HELP = (
 )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", nargs="?", default="-",
                    help="input file, or - for stdin (default)")
@@ -34,7 +44,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="value bound: flow k for zsf/analyze, exhaustive weight bound")
     p.add_argument("--method", choices=("randomized", "exhaustive", "greedy"),
                    default="randomized", help="sign search method")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (at most one per graph and per CPU)")
     p.add_argument("--caps", default="",
                    help="override caps, e.g. sign_exhaustive_m=24,factor_n=10")
     p.add_argument("--output", default=None, help="write the report to a file")

@@ -166,22 +166,49 @@ def perrank_fast(g: Graph) -> int:
     match_right: list[int] = [-1] * n
     match_left: list[int] = [-1] * n
 
-    def augment(u: int, visited: list[bool]) -> bool:
-        for v in adj[u]:
-            if visited[v]:
+    def augment(root: int) -> bool:
+        """Depth-first search for an augmenting path from the free left
+        vertex root, with an explicit stack so long paths cannot hit the
+        recursion limit.  A stack entry is [left vertex, position of its
+        next neighbor to try]; the path is flipped through match_left."""
+        visited = [False] * n
+        stack = [[root, 0]]
+        while stack:
+            frame = stack[-1]
+            u, pos = frame
+            nbrs = adj[u]
+            while pos < len(nbrs) and visited[nbrs[pos]]:
+                pos += 1
+            if pos == len(nbrs):
+                stack.pop()
                 continue
+            v = nbrs[pos]
+            frame[1] = pos + 1
             visited[v] = True
-            if match_right[v] == -1 or augment(match_right[v], visited):
+            if match_right[v] != -1:
+                stack.append([match_right[v], 0])
+                continue
+            # free right vertex: flip the path root -> ... -> u -> v
+            while stack:
+                u = stack.pop()[0]
                 match_right[v] = u
+                v_prev = match_left[u]
                 match_left[u] = v
-                return True
+                v = v_prev
+            return True
         return False
 
+    # a greedy matching first leaves the augmenting searches few free
+    # vertices; on a long path it is already maximum
     size = 0
     for u in range(n):
-        if match_left[u] == -1 and adj[u]:
-            if augment(u, [False] * n):
-                size += 1
+        v = next((v for v in adj[u] if match_right[v] == -1), -1)
+        if v != -1:
+            match_right[v], match_left[u] = u, v
+            size += 1
+    for u in range(n):
+        if match_left[u] == -1 and adj[u] and augment(u):
+            size += 1
     return size
 
 

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, replace
-from multiprocessing import Pool
 from typing import Callable, Iterable
 
 from . import __version__
@@ -47,7 +47,6 @@ from .factors import (
 from .graph_core import (
     Graph,
     components,
-    cut_edges,
     encode_graph6,
     is_bipartite,
     parse_edge_list,
@@ -55,7 +54,7 @@ from .graph_core import (
 )
 from .sign_search import find_fullrank_sign, max_rank_over_signs, min_rank_over_signs
 from .weight_search import find_singular_weight, verify_weight
-from .zero_sum_flow import find_zero_sum_flow, flow_exists_nonbipartite_test, verify_flow
+from .zero_sum_flow import find_zero_sum_flow, flow_obstruction, verify_flow
 
 THEOREM_TAGS = ("t21", "c22", "t31", "r11", "r32", "flows")
 
@@ -176,13 +175,29 @@ def analyze_record(index: int, g: Graph, cfg: RunConfig) -> dict:
         rec["sign"] = {"skipped": str(exc)}
     weight = find_singular_weight(g, bound=cfg.bound, seed=seed)
     rec["weight"] = _weight_outcome_dict(weight)
-    flow = find_zero_sum_flow(g, max(cfg.bound, 2), node_budget=caps.flow_nodes)
-    rec["flow"] = {
-        "k": max(cfg.bound, 2),
-        "values": list(flow.values) if flow is not None else None,
-    }
+    k = max(cfg.bound, 2)
+    try:
+        rec["flow"] = _flow_dict(g, k, caps.flow_nodes)
+    except ResourceCapError as exc:
+        rec["flow"] = {"k": k, "values": None, "basis": None, "skipped": str(exc)}
     rec["status"] = "ok"
     return rec
+
+
+def _flow_dict(g: Graph, k: int, node_budget: int) -> dict:
+    """The flow fields of analyze and zsf records: the values of a flow
+    with bound k, or the basis of its absence, "no_flow_exists" (with the
+    obstruction that proves it) or "exhausted" (the bounded search found
+    none).  Raises ResourceCapError when the search exceeds node_budget."""
+    flow = find_zero_sum_flow(g, k, node_budget=node_budget)
+    if flow is not None:
+        return {"k": k, "values": list(flow.values), "basis": None}
+    # rerun the exact test only on the way out, for the basis of the absence
+    obstruction = flow_obstruction(g)
+    if obstruction is None:
+        return {"k": k, "values": None, "basis": "exhausted"}
+    return {"k": k, "values": None, "basis": "no_flow_exists",
+            "obstruction": obstruction._asdict()}
 
 
 def check_record(index: int, g: Graph, cfg: RunConfig) -> dict:
@@ -264,16 +279,9 @@ def _check_r32(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
 
 def _check_flows(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
     detail: dict = {"applicable": False}
-    if g.n == 0 or g.m == 0 or len(components(g)) != 1:
+    if g.n == 0 or g.m == 0 or len(components(g)) != 1 or flow_obstruction(g) is not None:
         return True, detail
-    if is_bipartite(g):
-        if cut_edges(g):
-            return True, detail
-        k = 6
-    else:
-        if not flow_exists_nonbipartite_test(g):
-            return True, detail
-        k = 12
+    k = 6 if is_bipartite(g) else 12
     detail.update(applicable=True, k=k)
     flow = find_zero_sum_flow(g, k, node_budget=cfg.caps.flow_nodes)
     if flow is None:
@@ -360,13 +368,12 @@ def weightfind_record(index: int, g: Graph, cfg: RunConfig) -> dict:
 
 def zsf_record(index: int, g: Graph, cfg: RunConfig) -> dict:
     rec = _base_record(index, g)
-    k = max(cfg.bound, 2)
     try:
-        flow = find_zero_sum_flow(g, k, node_budget=cfg.caps.flow_nodes)
+        flow = _flow_dict(g, max(cfg.bound, 2), cfg.caps.flow_nodes)
     except ResourceCapError as exc:
         rec.update(status="skip", reason=str(exc))
         return rec
-    rec.update(status="ok", k=k, values=list(flow.values) if flow is not None else None)
+    rec.update(status="ok", **flow)
     return rec
 
 
@@ -406,9 +413,14 @@ def run(graphs: Iterable[Graph], cfg: RunConfig) -> tuple[str, dict]:
         raise ValueError(f"unknown command {cfg.command!r}")
     if cfg.command == "verify" and cfg.theorem not in THEOREM_TAGS:
         raise ValueError(f"unknown theorem tag {cfg.theorem!r}")
-    if cfg.jobs > 1 and len(graphs) > 1:
+    workers = pool_size(cfg.jobs, len(graphs))
+    if workers > 1:
+        # imported here: a single-process run does not pay multiprocessing's
+        # import time and memory
+        from multiprocessing import Pool
+
         tasks = [(cfg.command, i, encode_graph6(g), cfg) for i, g in enumerate(graphs)]
-        with Pool(cfg.jobs) as pool:
+        with Pool(workers) as pool:
             records = pool.map(_worker, tasks)
     else:
         records = [_with_timing(cfg.command, i, g, cfg) for i, g in enumerate(graphs)]
@@ -432,6 +444,12 @@ def run(graphs: Iterable[Graph], cfg: RunConfig) -> tuple[str, dict]:
     lines.extend(_dumps(r) for r in records)
     lines.append(_dumps({"summary": summary}))
     return "\n".join(lines) + "\n", summary
+
+
+def pool_size(jobs: int, tasks: int) -> int:
+    """Worker processes for a run: never more than the requested jobs, the
+    graphs to process or the CPUs present."""
+    return min(jobs, tasks, os.cpu_count() or 1)
 
 
 def _dumps(obj: dict) -> str:

@@ -219,9 +219,11 @@ def min_rank_over_signs(
     exhaustive_m_cap: int = DEFAULT_EXHAUSTIVE_M_CAP,
 ) -> tuple[int, EdgeAssignment]:
     """Exact minimum of rank over all 2^m signs, with the first minimizing
-    sign vector in enumeration order (+1 before -1 at every position).
+    sign vector in iter_sign_representatives order.
 
-    Data collection for an open problem; exhaustive only, refused above the
+    Rank is invariant under switching (D A D for a +-1 diagonal D), so one
+    sign per switching class, 2^(m-n+c) of them, covers all 2^m.  Data
+    collection for an open problem; exhaustive only, refused above the
     cap."""
     if g.m > exhaustive_m_cap:
         raise ResourceCapError(
@@ -229,7 +231,7 @@ def min_rank_over_signs(
             f"graph has m={g.m}")
     best: int | None = None
     best_values: tuple[int, ...] = ()
-    for combo in product((1, -1), repeat=g.m):
+    for combo in iter_sign_representatives(g):
         r = rank(adjacency_matrix(g, combo))
         if best is None or r < best:
             best, best_values = r, combo

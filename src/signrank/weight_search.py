@@ -42,15 +42,8 @@ from .factors import (
     edge_membership,
     iter_factors,
 )
-from .graph_core import (
-    Graph,
-    components,
-    cut_edges,
-    delete_edges,
-    induced_subgraph,
-    is_bipartite,
-)
-from .zero_sum_flow import find_zero_sum_flow, flow_exists_nonbipartite_test
+from .graph_core import Graph, components, delete_edges, induced_subgraph, is_bipartite
+from .zero_sum_flow import find_zero_sum_flow, flow_obstruction
 
 TRIALS_GUARANTEED = 200
 TRIALS_OPPORTUNISTIC = 60
@@ -147,19 +140,11 @@ def _f_at(g: Graph, values) -> int:
 
 
 def _flow_attempt(g: Graph) -> tuple[int, ...] | None:
-    """Bounded zero-sum flow search, guarded by the exact existence tests so
+    """Bounded zero-sum flow search, guarded by the exact existence test so
     it only runs when a flow is known to exist."""
-    if g.m == 0:
+    if g.m == 0 or flow_obstruction(g) is not None:
         return None
-    if is_bipartite(g):
-        # a bridge in a bipartite graph forces a zero flow value across it
-        if cut_edges(g):
-            return None
-        top = BIPARTITE_FLOW_BOUND
-    else:
-        if not flow_exists_nonbipartite_test(g):
-            return None
-        top = GENERAL_FLOW_BOUND
+    top = BIPARTITE_FLOW_BOUND if is_bipartite(g) else GENERAL_FLOW_BOUND
     for k in range(2, top + 1):
         try:
             sol = find_zero_sum_flow(g, k, node_budget=FLOW_NODE_BUDGET)

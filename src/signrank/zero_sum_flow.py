@@ -1,22 +1,39 @@
 """Zero-sum flows: nowhere-zero integer edge values whose incident sums
 vanish at every vertex.
 
+Existence is decided exactly, with no search.  A flow is a nowhere-zero
+vector f with B f = 0, where B is the unsigned n x m vertex-edge incidence
+matrix.  The kernel of B is the orthogonal complement of its row space, so
+some kernel vector is nonzero on edge i unless the unit vector e_i lies in
+the row space; and when no e_i does, a generic combination of such kernel
+vectors is nonzero on every edge, and a rational flow scales to an integer
+one.  `flow_obstruction` runs one fraction-free Gauss-Jordan pass over
+[B | I] and either finds no such e_i (a flow exists) or returns an integer
+vertex vector y with y^T B = d e_i^T, d != 0.  Summing the vertex equations
+of any zero-sum flow with weights y gives d f_i = 0, so y proves that every
+flow vanishes on edge i; `verify_obstruction` re-checks it from y, d and
+the graph alone.
+
 A zero-sum k-flow uses values in {+-1, ..., +-(k-1)}.  The bounded solver is
 a complete backtracking search with constraint propagation: whenever a
 vertex has a single undecided incident edge, that edge's value is forced to
 cancel the vertex's partial sum, and a vertex whose partial sum cannot be
 cancelled by its remaining undecided edges prunes the branch.  Free choices
-are therefore only needed outside a spanning forest.
+are therefore only needed outside a spanning forest.  It runs only on graphs
+that pass the exact test, so it answers "none" only for a bound k too small.
 
-Existence facts used by callers (validated empirically by the test sweeps):
-a connected non-bipartite graph has a zero-sum flow iff removing any single
-edge leaves no bipartite component; 2-edge-connected bipartite graphs admit
-zero-sum 6-flows; any graph with a zero-sum flow has a zero-sum 12-flow.
+The structural test `flow_exists_nonbipartite_test` (a connected
+non-bipartite graph has a flow iff removing any single edge leaves no
+bipartite component) is kept as an independent oracle for the tests.
+Observed bounds used by callers: 2-edge-connected bipartite graphs admit
+zero-sum 6-flows, and any graph with a zero-sum flow has a zero-sum 12-flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from typing import NamedTuple
 
 from .assignments import EdgeAssignment
 from .errors import InvalidAssignmentError, PreconditionError, ResourceCapError
@@ -35,9 +52,76 @@ class FlowProblem:
             raise PreconditionError("flow bound k must be >= 2")
 
 
+class FlowObstruction(NamedTuple):
+    """Proof that every zero-sum flow vanishes on one edge: y[u] + y[v] is
+    d on edge `edge` and 0 on every other edge uv, with d != 0."""
+
+    edge: int
+    y: tuple[int, ...]
+    d: int
+
+
+def flow_obstruction(g: Graph) -> FlowObstruction | None:
+    """None when g has a zero-sum flow (of some bound), else an obstruction
+    that proves it has none.
+
+    Fraction-free Gauss-Jordan elimination over the integer rows [B | I]
+    (each row is y^T B followed by y^T for its own y), every combined row
+    divided by the gcd of its entries.  In the reduced form, e_i lies in the
+    row space exactly when the row whose pivot is column i has no other
+    nonzero entry in its B part; that row then carries y and d.
+    """
+    n, m = g.n, g.m
+    rows = []
+    for v in range(n):
+        row = [0] * (m + n)
+        for _, eidx in g.incidence[v]:
+            row[eidx] = 1
+        row[m + v] = 1
+        rows.append(row)
+    pivots: list[int] = []
+    for col in range(m):
+        r = len(pivots)
+        p = next((i for i in range(r, n) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        a = prow[col]
+        for i in range(n):
+            b = rows[i][col]
+            if i == r or not b:
+                continue
+            row = [a * x - b * z for x, z in zip(rows[i], prow)]
+            div = gcd(*row)
+            rows[i] = [x // div for x in row] if div > 1 else row
+        pivots.append(col)
+    for r, col in enumerate(pivots):
+        row = rows[r]
+        if any(row[j] for j in range(m) if j != col):
+            continue
+        sign = 1 if row[col] > 0 else -1
+        obstruction = FlowObstruction(
+            col, tuple(sign * x for x in row[m:]), sign * row[col])
+        if not verify_obstruction(g, obstruction):
+            raise AssertionError("flow obstruction failed re-verification")
+        return obstruction
+    return None
+
+
+def verify_obstruction(g: Graph, obs: FlowObstruction) -> bool:
+    """True iff obs proves that every zero-sum flow of g is 0 on obs.edge."""
+    if obs.d == 0 or len(obs.y) != g.n or not 0 <= obs.edge < g.m:
+        return False
+    return all(obs.y[u] + obs.y[v] == (obs.d if i == obs.edge else 0)
+               for i, (u, v) in enumerate(g.edges))
+
+
 def flow_exists_nonbipartite_test(g: Graph) -> bool:
     """Existence test for connected non-bipartite graphs: a zero-sum flow
-    exists iff no single edge removal leaves a bipartite component."""
+    exists iff no single edge removal leaves a bipartite component.
+
+    A structural oracle for the tests; callers use flow_obstruction."""
     comps = components(g)
     if len(comps) != 1 or g.n == 0:
         raise PreconditionError("existence test requires a connected graph")
@@ -59,13 +143,16 @@ def find_zero_sum_flow(
     """Find a zero-sum flow with values in {+-1, ..., +-(k-1)}, or prove
     there is none within that bound.
 
-    Returns None only after a complete search, so absence is certified.  A
+    Returns None at once when flow_obstruction proves that no flow exists,
+    and otherwise only after a complete search, so absence is certified.  A
     node_budget caps the number of value assignments explored; exceeding it
     raises ResourceCapError (never a false "none").  Disconnected graphs are
     solved per component.
     """
     if k < 2:
         raise PreconditionError("flow bound k must be >= 2")
+    if flow_obstruction(g) is not None:
+        return None
     values = [0] * g.m
     budget = [node_budget if node_budget is not None else -1]
     for comp in components(g):

@@ -192,6 +192,12 @@ class TestPerrank:
         assert perrank_fast(g) == 10
         assert perrank_bruteforce(g) == 10
 
+    def test_long_path_and_cycle(self):
+        # the odd cycle leaves an augmenting path of about n/2 steps after
+        # the greedy start, deeper than the default recursion limit
+        assert perrank_fast(path(3000)) == 3000
+        assert perrank_fast(cycle(3001)) == 3001
+
     def test_fast_equals_bruteforce_up_to_n5(self, corpus_le5):
         for g in corpus_le5:
             assert perrank_fast(g) == perrank_bruteforce(g)

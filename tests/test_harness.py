@@ -8,6 +8,7 @@ from signrank.assignments import EdgeAssignment
 from signrank.errors import GraphParseError
 from signrank.exact_linalg import adjacency_matrix, det
 from signrank.graph_core import encode_graph6, parse_graph6
+from signrank import harness
 from signrank.harness import (
     Caps,
     RunConfig,
@@ -15,12 +16,13 @@ from signrank.harness import (
     graph_seed,
     load_corpus,
     parse_caps,
+    pool_size,
     run,
 )
 from signrank.weight_search import verify_weight
 from signrank.zero_sum_flow import verify_flow
 
-from conftest import complete, cycle, path
+from conftest import DATA, complete, cycle, path
 
 C4_G6 = encode_graph6(cycle(4))
 P3_G6 = encode_graph6(path(3))
@@ -91,6 +93,26 @@ class TestAnalyze:
         assert records[0]["status"] == "skip"
         assert summary["skip"] == 1
 
+    def test_flow_bases(self):
+        report, _ = run([cycle(4), complete(3)], RunConfig(command="analyze"))
+        _, (c4, k3), _ = parse_report(report)
+        assert c4["flow"]["basis"] is None and c4["flow"]["values"] is not None
+        assert k3["flow"]["basis"] == "no_flow_exists" and k3["flow"]["values"] is None
+        assert set(k3["flow"]["obstruction"]) == {"edge", "y", "d"}
+
+    def test_flow_cap_marks_only_the_flow_block(self):
+        # a node budget of 0 stops the bounded search on C4, which has a flow;
+        # the record keeps every other answer and the run is not sunk
+        report, summary = run(
+            [cycle(4), complete(3)], RunConfig(command="analyze", caps=Caps(flow_nodes=0)))
+        _, (c4, k3), _ = parse_report(report)
+        assert summary["skip"] == 0 and c4["status"] == "ok"
+        assert c4["flow"]["values"] is None and c4["flow"]["basis"] is None
+        assert "node budget" in c4["flow"]["skipped"]
+        assert c4["weight"]["witness"] is not None
+        # absence is decided before any search, so the cap cannot hide it
+        assert k3["flow"]["basis"] == "no_flow_exists"
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("theorem", ["t21", "c22", "t31", "r11", "r32", "flows"])
@@ -118,6 +140,14 @@ class TestDeterminism:
         a, _ = run(graphs, cfg)
         b, _ = run(graphs, cfg)
         assert a == b
+
+    def test_pool_size_clamped(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        assert pool_size(10**9, 10**9) == 2
+        assert pool_size(8, 1) == 1
+        assert pool_size(1, 500) == 1
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert pool_size(4, 4) == 1
 
     def test_jobs_do_not_change_bytes(self):
         graphs = load_corpus(CORPUS, "graph6")
@@ -154,6 +184,13 @@ class TestWitnessesSelfContained:
             flow = rec["flow"]["values"]
             if flow is not None:
                 assert verify_flow(g, EdgeAssignment(tuple(flow), "flow"))
+            if rec["flow"]["basis"] == "no_flow_exists":
+                # y[u] + y[v] is d on the named edge and 0 elsewhere, so
+                # every zero-sum flow vanishes on that edge
+                obs = rec["flow"]["obstruction"]
+                assert obs["d"] != 0 and len(obs["y"]) == g.n
+                for i, (u, v) in enumerate(g.edges):
+                    assert obs["y"][u] + obs["y"][v] == (obs["d"] if i == obs["edge"] else 0)
 
 
 class TestExitCodes:
@@ -222,6 +259,30 @@ class TestCli:
         _, records, _ = parse_report(res.stdout)
         assert records[0]["k"] == 2
         assert records[0]["values"] is not None
+
+    def test_zsf_bases(self):
+        # K4 has a flow, but none with values +-1: three of them cannot sum
+        # to 0 at a vertex of degree 3
+        res = run_cli(["zsf", "-", "--bound", "2"],
+                      stdin=f"{encode_graph6(complete(4))}\n{K3_G6}\n")
+        assert res.returncode == 0
+        _, (k4, k3), _ = parse_report(res.stdout)
+        assert k4["values"] is None and k4["basis"] == "exhausted"
+        assert "obstruction" not in k4
+        assert k3["basis"] == "no_flow_exists" and k3["obstruction"]["d"] != 0
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in ("0", "-3", "x"):
+            res = run_cli(["perrank", "-", "--jobs", jobs], stdin=C4_G6 + "\n")
+            assert res.returncode == 2 and "--jobs" in res.stderr
+
+    def test_analyze_whole_corpus(self):
+        # the shipped corpus at default caps: no record may sink the run
+        res = run_cli(["analyze", str(DATA / "graphs_le7.g6")])
+        assert res.returncode == 0, res.stderr
+        _, records, summary = parse_report(res.stdout)
+        assert summary == {"records": 1253, "pass": 0, "fail": 0, "skip": 0}
+        assert len(records) == 1253
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "report.jsonl"

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -155,6 +156,15 @@ class TestMinRank:
     def test_cap_refusal(self):
         with pytest.raises(ResourceCapError, match="m <= 20"):
             min_rank_over_signs(complete(7))
+
+    def test_quotient_scan_matches_full_scan(self, corpus_le6):
+        # min over all 2^m signs, computed directly, against the scan over
+        # one sign per switching class
+        for g in corpus_le6:
+            full = min(rank(adjacency_matrix(g, s)) for s in product((1, -1), repeat=g.m))
+            value, witness = min_rank_over_signs(g)
+            assert value == full
+            assert rank(adjacency_matrix(g, witness)) == value
 
     def test_monotone_sanity(self, corpus_le5):
         for g in corpus_le5:

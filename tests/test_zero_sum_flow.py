@@ -5,12 +5,15 @@ import pytest
 from signrank.assignments import EdgeAssignment
 from signrank.errors import InvalidAssignmentError, PreconditionError, ResourceCapError
 from signrank.exact_linalg import adjacency_matrix, mat_vec
-from signrank.graph_core import Graph
+from signrank.graph_core import Graph, bipartition, components, cut_edges, induced_subgraph
 from signrank.zero_sum_flow import (
+    FlowObstruction,
     FlowProblem,
     find_zero_sum_flow,
     flow_exists_nonbipartite_test,
+    flow_obstruction,
     verify_flow,
+    verify_obstruction,
 )
 
 from conftest import complete, cycle
@@ -27,6 +30,66 @@ def flow_oracle_exists(g: Graph, k: int) -> bool:
         if all(s == 0 for s in sums):
             return True
     return g.m == 0
+
+
+def obstruction_holds(g: Graph, edge: int, y, d: int) -> bool:
+    """Independent re-check of an obstruction: d != 0 and y[u] + y[v] is d
+    on the named edge and 0 on every other edge.  Summing the vertex
+    equations of a zero-sum flow with weights y then gives d * f[edge] = 0."""
+    return d != 0 and len(y) == g.n and all(
+        y[u] + y[v] == (d if i == edge else 0) for i, (u, v) in enumerate(g.edges))
+
+
+def structural_flow_exists(g: Graph) -> bool:
+    """The structural predicate, per component: isolated vertices pass, a
+    bipartite component needs no bridge, a non-bipartite one must pass
+    flow_exists_nonbipartite_test."""
+    for comp in components(g):
+        sub, _, _ = induced_subgraph(g, comp)
+        if sub.m == 0:
+            continue
+        if bipartition(g, comp).valid:
+            if cut_edges(sub):
+                return False
+        elif not flow_exists_nonbipartite_test(sub):
+            return False
+    return True
+
+
+class TestObstruction:
+    @pytest.mark.parametrize("corpus", ["corpus_le7", "corpus_bipartite_2ec_n8"])
+    def test_certificates_and_structural_oracle(self, corpus, request):
+        flow_free = 0
+        for g in request.getfixturevalue(corpus):
+            obs = flow_obstruction(g)
+            assert (obs is None) == structural_flow_exists(g)
+            if obs is not None:
+                flow_free += 1
+                assert obstruction_holds(g, obs.edge, obs.y, obs.d)
+                assert verify_obstruction(g, obs)
+        assert flow_free == (664 if corpus == "corpus_le7" else 0)
+
+    def test_flow_found_wherever_no_obstruction(self, corpus_le7):
+        # the converse direction: "a flow exists" is confirmed by the search
+        for g in corpus_le7:
+            if flow_obstruction(g) is None:
+                flow = find_zero_sum_flow(g, 12)
+                assert flow is not None and verify_flow(g, flow)
+
+    def test_tampered_certificate_rejected(self):
+        g = cycle(3)
+        obs = flow_obstruction(g)
+        assert verify_obstruction(g, obs)
+        assert not verify_obstruction(g, obs._replace(d=0))
+        assert not verify_obstruction(g, obs._replace(edge=(obs.edge + 1) % 3))
+        assert not verify_obstruction(g, FlowObstruction(obs.edge, obs.y[:-1], obs.d))
+
+    def test_absence_needs_no_search(self):
+        # with no node budget at all, a flow-free graph still gets its
+        # certified "none", since the exact test comes before any search
+        for g in (cycle(3), cycle(5), complete(2), Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))):
+            assert flow_obstruction(g) is not None
+            assert find_zero_sum_flow(g, 6, node_budget=0) is None
 
 
 class TestExistenceTest:
