@@ -3,8 +3,9 @@
 Subcommands: analyze, verify, minrank, factors, perrank, signfind,
 weightfind, zsf.  Input is a file path or "-" for standard input, holding
 one graph per line (graph6, the default) or a single edge-list graph
-(--format edgelist).  Exit codes: 0 ok, 1 verification failure, 2 usage or
-parse error, 3 resource cap hit (skipped records), unless --allow-skips.
+(--format edgelist).  Exit codes: 0 ok, 1 verification failure, 2 usage,
+read or parse error, 3 resource cap hit (skipped records, or records with a
+skipped block), unless --allow-skips.
 """
 
 from __future__ import annotations
@@ -95,8 +96,12 @@ def main(argv: list[str] | None = None) -> int:
         caps=caps,
     )
     try:
-        text = sys.stdin.read() if args.input == "-" else open(args.input).read()
-    except OSError as exc:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"signrank: cannot read input: {exc}", file=sys.stderr)
         return 2
     try:

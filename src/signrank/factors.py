@@ -1,10 +1,16 @@
-"""Enumeration of {1,2}-factors and the invariants built on them.
+"""{1,2}-factors: enumeration, counting, and the invariants built on them.
 
 A {1,2}-factor is a spanning subgraph that is a disjoint union of single
 edges (K2 components) and cycles of length >= 3.  Each factor is produced
 exactly once in a canonical form: every cycle starts at its smallest vertex
 and is traversed toward its smaller neighbor; the factor's cycle list and
 K2 list are index-sorted.
+
+Where only a number is needed (t(g) and the nonzero-transversal count),
+it comes from a subset DP over vertex sets that never lists a factor
+(_factor_sum).  Enumeration is kept for what needs the factors themselves:
+listings, the determinant polynomial, edge membership, and the early-exit
+has_factor / count_factors_at_most.
 
 Conventions: the empty graph on 0 vertices has exactly one (empty) factor;
 an edgeless graph on n >= 1 vertices has none.  perrank is the order of the
@@ -114,8 +120,9 @@ def enumerate_factors(g: Graph) -> list[Factor]:
 
 
 def count_factors(g: Graph) -> int:
-    """t(g): the number of {1,2}-factors, streamed without storing the list."""
-    return sum(1 for _ in iter_factors(g))
+    """t(g): the number of {1,2}-factors, counted without listing them by
+    the subset DP of _factor_sum, in O(3^n) steps."""
+    return _factor_sum(g, 1)
 
 
 def count_factors_at_most(g: Graph, limit: int) -> int:
@@ -136,7 +143,94 @@ def count_nonzero_transversals(g: Graph) -> int:
     """Number of nonzero transversals of the 0/1 adjacency matrix: each
     factor contributes 2 to the power of its cycle count (one transversal
     per orientation of each cycle).  Equals the permanent of A(g)."""
-    return sum(2 ** f.cycle_count for f in iter_factors(g))
+    return _factor_sum(g, 2)
+
+
+def _factor_sum(g: Graph, cycle_weight: int) -> int:
+    """Sum over all {1,2}-factors of cycle_weight ** (number of cycles).
+
+    A subset DP over the bitmask S of uncovered vertices (the set-partition
+    route of Bjorklund, Husfeldt, Kaski and Koivisto).  The lowest vertex v
+    of S is covered either by a K2 with a neighbor u in S or by a cycle on a
+    vertex set T with min T = v:
+
+        f(S) = sum_u f(S - {u, v}) + w * sum_T cyc(T) * f(S - T),  f({}) = 1
+
+    where cyc(T) counts the cycles spanning T (see _cycles_from).  Each step
+    removes at least two vertices, so the recursion is at most n/2 deep.
+    """
+    n = g.n
+    nbr = [0] * n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    cycles: list[dict[int, int] | None] = [None] * n
+    memo = {0: 1}
+
+    def f(s: int) -> int:
+        total = memo.get(s)
+        if total is not None:
+            return total
+        low = s & -s
+        v = low.bit_length() - 1
+        rest = s ^ low
+        total = 0
+        pair = nbr[v] & rest
+        while pair:
+            b = pair & -pair
+            total += f(rest ^ b)
+            pair ^= b
+        cyc = cycles[v]
+        if cyc is None:
+            cyc = cycles[v] = _cycles_from(nbr, v)
+        # walk whichever is shorter: the cycle sets at v, or the subsets of
+        # rest; the latter bounds the whole DP by O(3^n) steps
+        acc = 0
+        if len(cyc) < 1 << rest.bit_count():
+            for t, c in cyc.items():
+                if t & rest == t:
+                    acc += c * f(rest ^ t)
+        else:
+            t = rest
+            while t:
+                c = cyc.get(t)
+                if c:
+                    acc += c * f(rest ^ t)
+                t = (t - 1) & rest
+        total += cycle_weight * acc
+        memo[s] = total
+        return total
+
+    return f((1 << n) - 1)
+
+
+def _cycles_from(nbr: list[int], s: int) -> dict[int, int]:
+    """Cycle counts cyc(T) for vertex sets T with min T = s, keyed by the
+    bitmask of T - {s}; sets spanned by no cycle are absent.
+
+    A layered path DP over (visited mask, end vertex): paths start at s and
+    use only vertices above s.  A path on at least two further vertices whose
+    end is adjacent to s closes a cycle; each cycle is seen once per
+    orientation, so the sums are halved.  Each layer is dropped once the next
+    one is built.
+    """
+    above = -1 << (s + 1)
+    home = 1 << s
+    layer = {(0, s): 1}          # the path (s), with s left out of the mask
+    closed: dict[int, int] = {}
+    while layer:
+        nxt: dict[tuple[int, int], int] = {}
+        for (mask, end), c in layer.items():
+            if nbr[end] & home and mask & (mask - 1):
+                closed[mask] = closed.get(mask, 0) + c
+            ext = nbr[end] & above & ~mask
+            while ext:
+                b = ext & -ext
+                key = (mask | b, b.bit_length() - 1)
+                nxt[key] = nxt.get(key, 0) + c
+                ext ^= b
+        layer = nxt
+    return {t: c // 2 for t, c in closed.items()}
 
 
 def perrank_bruteforce(g: Graph) -> int:

@@ -5,7 +5,11 @@ Report format (JSON lines, diffable and streamable):
 
     line 1      header object: {"signrank_report": 1, "command": ..., config}
     lines 2..   one record object per input graph, in input order
-    last line   {"summary": {"records": N, "pass": P, "fail": F, "skip": S}}
+    last line   {"summary": {"records": N, "pass": P, "fail": F, "skip": S,
+                             "partial": Q}}
+
+"partial" counts records with status "ok" in which a block carries
+"skipped" (an analyze record whose sign or flow step hit its cap).
 
 Objects are serialized with sorted keys and no whitespace, so two runs with
 identical inputs, seed and configuration produce byte-identical reports.
@@ -70,15 +74,6 @@ class Caps:
     minrank_m: int = 20
     flow_nodes: int = 2_000_000
 
-    def as_dict(self) -> dict:
-        return {
-            "sign_exhaustive_m": self.sign_exhaustive_m,
-            "factor_n": self.factor_n,
-            "detpoly_n": self.detpoly_n,
-            "minrank_m": self.minrank_m,
-            "flow_nodes": self.flow_nodes,
-        }
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -93,16 +88,21 @@ class RunConfig:
 
 
 def parse_caps(text: str) -> Caps:
-    """Parse a --caps string like "sign_exhaustive_m=24,factor_n=10"."""
+    """Parse a --caps string like "sign_exhaustive_m=24,factor_n=10".
+    Raises ValueError on an unknown key or a value that is not an integer
+    >= 0."""
     caps = Caps()
     if not text:
         return caps
     for item in text.split(","):
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in caps.as_dict():
+        if key not in vars(caps):
             raise ValueError(f"unknown cap {key!r}")
-        caps = replace(caps, **{key: int(value)})
+        number = int(value)
+        if number < 0:
+            raise ValueError(f"cap {key} must be at least 0, got {number}")
+        caps = replace(caps, **{key: number})
     return caps
 
 
@@ -429,6 +429,7 @@ def run(graphs: Iterable[Graph], cfg: RunConfig) -> tuple[str, dict]:
         "pass": sum(1 for r in records if r.get("status") == "pass"),
         "fail": sum(1 for r in records if r.get("status") == "fail"),
         "skip": sum(1 for r in records if r.get("status") == "skip"),
+        "partial": sum(1 for r in records if _is_partial(r)),
     }
     header = {
         "signrank_report": 1,
@@ -438,7 +439,7 @@ def run(graphs: Iterable[Graph], cfg: RunConfig) -> tuple[str, dict]:
         "seed": cfg.seed,
         "bound": cfg.bound,
         "method": cfg.method,
-        "caps": cfg.caps.as_dict(),
+        "caps": vars(cfg.caps),
     }
     lines = [_dumps(header)]
     lines.extend(_dumps(r) for r in records)
@@ -456,10 +457,17 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _is_partial(rec: dict) -> bool:
+    """An ok record with a block whose answer was skipped at a cap."""
+    return rec.get("status") == "ok" and any(
+        isinstance(v, dict) and "skipped" in v for v in rec.values())
+
+
 def exit_code(summary: dict, allow_skips: bool = False) -> int:
-    """0 ok; 1 any failure; 3 any skip (unless allowed)."""
+    """0 ok; 1 any failure; 3 any skipped record or partial record (unless
+    allowed)."""
     if summary["fail"]:
         return 1
-    if summary["skip"] and not allow_skips:
+    if (summary["skip"] or summary.get("partial")) and not allow_skips:
         return 3
     return 0

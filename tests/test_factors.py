@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from signrank.factors import (
     edge_membership,
     enumerate_factors,
     has_factor,
+    iter_factors,
     perrank_bruteforce,
     perrank_fast,
 )
@@ -168,6 +170,37 @@ class TestCounts:
     )
     def test_nonzero_transversals(self, g, expected):
         assert count_nonzero_transversals(g) == expected
+
+
+def _listed_sums(g: Graph) -> tuple[int, int]:
+    """The counts by enumeration: (t, nonzero transversals)."""
+    facs = list(iter_factors(g))
+    return len(facs), sum(2 ** f.cycle_count for f in facs)
+
+
+class TestCountingDP:
+    """The subset-DP counts against the enumeration they replace."""
+
+    def test_corpora(self, corpus_le7, corpus_bipartite_2ec_n8):
+        for g in corpus_le7 + corpus_bipartite_2ec_n8:
+            assert (count_factors(g), count_nonzero_transversals(g)) == _listed_sums(g)
+
+    def test_random_gnp(self):
+        rng = random.Random(20261018)
+        for _ in range(50):
+            n = rng.randint(8, 10)
+            p = rng.choice((0.3, 0.4, 0.5))
+            g = Graph(n, tuple(e for e in combinations(range(n), 2) if rng.random() < p))
+            assert (count_factors(g), count_nonzero_transversals(g)) == _listed_sums(g)
+
+    def test_complete_graphs(self):
+        # t(K_n) is OEIS A002137; perm(A(K_n)) is the number of derangements
+        t = [1, 0, 1, 1, 6, 22, 130, 822, 6202, 52552, 499194, 5238370, 60222844]
+        perm = [1, 0, 1, 2, 9, 44, 265, 1854, 14833, 133496, 1334961, 14684570,
+                176214841]
+        for n in range(13):
+            assert count_factors(complete(n)) == t[n]
+            assert count_nonzero_transversals(complete(n)) == perm[n]
 
 
 class TestPerrank:

@@ -113,13 +113,22 @@ class TestAnalyze:
         # absence is decided before any search, so the cap cannot hide it
         assert k3["flow"]["basis"] == "no_flow_exists"
 
+    def test_skipped_block_counts_as_partial(self):
+        # the record stays ok, but the summary and the exit code show that
+        # one of its answers is missing
+        report, summary = run(
+            [cycle(4), complete(3)], RunConfig(command="analyze", caps=Caps(flow_nodes=0)))
+        assert summary == {"records": 2, "pass": 0, "fail": 0, "skip": 0, "partial": 1}
+        assert exit_code(summary) == 3
+        assert exit_code(summary, allow_skips=True) == 0
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("theorem", ["t21", "c22", "t31", "r11", "r32", "flows"])
     def test_small_corpus_passes(self, theorem):
         graphs = load_corpus(CORPUS, "graph6")
         report, summary = run(graphs, RunConfig(command="verify", theorem=theorem))
-        assert summary == {"records": 3, "pass": 3, "fail": 0, "skip": 0}
+        assert summary == {"records": 3, "pass": 3, "fail": 0, "skip": 0, "partial": 0}
 
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
@@ -214,6 +223,11 @@ class TestParseCaps:
         with pytest.raises(ValueError):
             parse_caps("frobnicate=1")
 
+    @pytest.mark.parametrize("text", ["factor_n=-1", "flow_nodes=-5", "minrank_m=x"])
+    def test_bad_value(self, text):
+        with pytest.raises(ValueError):
+            parse_caps(text)
+
 
 class TestCli:
     def test_analyze_stdin(self):
@@ -235,6 +249,27 @@ class TestCli:
     def test_missing_file_exit_2(self):
         res = run_cli(["analyze", "/nonexistent/corpus.g6"])
         assert res.returncode == 2
+
+    def test_binary_input_exit_2(self, tmp_path):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_bytes(b"Cl\n\xff\xfe\n")
+        res = run_cli(["analyze", str(corpus)])
+        assert res.returncode == 2
+        assert "cannot read input" in res.stderr and "Traceback" not in res.stderr
+
+    def test_negative_cap_exit_2(self):
+        res = run_cli(["analyze", "-", "--caps", "factor_n=-1"], stdin=C4_G6 + "\n")
+        assert res.returncode == 2 and "factor_n" in res.stderr
+
+    def test_partial_exit_3_and_allow_skips(self):
+        res = run_cli(["analyze", "-", "--caps", "flow_nodes=0"], stdin=C4_G6 + "\n")
+        assert res.returncode == 3
+        _, (rec,), summary = parse_report(res.stdout)
+        assert rec["status"] == "ok" and "skipped" in rec["flow"]
+        assert summary["partial"] == 1 and summary["skip"] == 0
+        res = run_cli(["analyze", "-", "--caps", "flow_nodes=0", "--allow-skips"],
+                      stdin=C4_G6 + "\n")
+        assert res.returncode == 0
 
     def test_skip_exit_3_and_allow_skips(self):
         res = run_cli(["analyze", "-", "--caps", "factor_n=3"], stdin=C4_G6 + "\n")
@@ -281,7 +316,7 @@ class TestCli:
         res = run_cli(["analyze", str(DATA / "graphs_le7.g6")])
         assert res.returncode == 0, res.stderr
         _, records, summary = parse_report(res.stdout)
-        assert summary == {"records": 1253, "pass": 0, "fail": 0, "skip": 0}
+        assert summary == {"records": 1253, "pass": 0, "fail": 0, "skip": 0, "partial": 0}
         assert len(records) == 1253
 
     def test_output_file(self, tmp_path):
