@@ -42,8 +42,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--bound", type=int, default=6,
-                   help="value bound: flow k for zsf/analyze, exhaustive weight bound")
-    p.add_argument("--method", choices=("randomized", "exhaustive", "greedy"),
+                   help="flow bound k for zsf/analyze")
+    p.add_argument("--method", choices=("randomized", "exhaustive"),
                    default="randomized", help="sign search method")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes (at most one per graph and per CPU)")

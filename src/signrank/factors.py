@@ -338,15 +338,3 @@ def edge_membership(g: Graph) -> EdgeMembership:
                 presence[i] += 1
     in_all = [total > 0 and presence[i] == total for i in range(m)]
     return EdgeMembership(total, tuple(in_k2), tuple(in_cycle), tuple(in_all))
-
-
-def cycle_vertices(g: Graph, cycle: tuple[int, ...]) -> tuple[int, ...]:
-    """Vertex sequence of a canonical cycle given as edge indices."""
-    first = g.edges[cycle[0]]
-    second = g.edges[cycle[1]]
-    start = first[0] if first[0] not in second else first[1]
-    verts = [start]
-    for eidx in cycle[:-1]:
-        u, v = g.edges[eidx]
-        verts.append(v if verts[-1] == u else u)
-    return tuple(verts)

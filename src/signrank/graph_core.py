@@ -1,6 +1,6 @@
 """Simple undirected graphs with a frozen edge order, plus the structural
-predicates (connected components, bipartiteness, cut edges) that the rank
-searches depend on.
+predicates (connected components, spanning forests, bipartiteness, cut
+edges) that the rank searches depend on.
 
 The edge order is canonical: it is fixed when a graph is built and defines
 the variable indexing x1..xm used by every polynomial, sign vector and
@@ -228,6 +228,26 @@ def components(g: Graph) -> list[frozenset[int]]:
                     queue.append(u)
         out.append(frozenset(comp))
     return out
+
+
+def spanning_forest(g: Graph) -> frozenset[int]:
+    """Edge indices of a spanning forest, one tree per component, grown from
+    each component's smallest vertex in stack (last-in, first-out) order."""
+    seen = [False] * g.n
+    tree: set[int] = set()
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u, eidx in g.incidence[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    tree.add(eidx)
+                    stack.append(u)
+    return frozenset(tree)
 
 
 def bipartition(g: Graph, comp: frozenset[int]) -> Bipartition:

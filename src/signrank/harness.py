@@ -160,9 +160,6 @@ def _weight_outcome_dict(outcome) -> dict:
 def analyze_record(index: int, g: Graph, cfg: RunConfig) -> dict:
     rec = _base_record(index, g)
     caps = cfg.caps
-    if g.n > caps.factor_n:
-        rec.update(status="skip", reason=f"n={g.n} exceeds factor cap {caps.factor_n}")
-        return rec
     seed = graph_seed(cfg.seed, index)
     rec["t"] = count_factors(g)
     rec["perrank"] = perrank_fast(g)
@@ -173,7 +170,7 @@ def analyze_record(index: int, g: Graph, cfg: RunConfig) -> dict:
         rec["sign"] = _sign_outcome_dict(sign)
     except ResourceCapError as exc:
         rec["sign"] = {"skipped": str(exc)}
-    weight = find_singular_weight(g, bound=cfg.bound, seed=seed)
+    weight = find_singular_weight(g, seed=seed)
     rec["weight"] = _weight_outcome_dict(weight)
     k = max(cfg.bound, 2)
     try:
@@ -202,20 +199,12 @@ def _flow_dict(g: Graph, k: int, node_budget: int) -> dict:
 
 def check_record(index: int, g: Graph, cfg: RunConfig) -> dict:
     rec = _base_record(index, g)
-    caps = cfg.caps
-    if g.n > caps.factor_n:
-        rec.update(status="skip", reason=f"n={g.n} exceeds factor cap {caps.factor_n}")
-        return rec
     seed = graph_seed(cfg.seed, index)
     try:
         checker = _CHECKERS[cfg.theorem]
     except KeyError:
         raise ValueError(f"unknown theorem tag {cfg.theorem!r}") from None
-    try:
-        ok, detail = checker(g, seed, cfg)
-    except ResourceCapError as exc:
-        rec.update(status="skip", reason=str(exc))
-        return rec
+    ok, detail = checker(g, seed, cfg)
     rec["check"] = detail
     rec["status"] = "pass" if ok else "fail"
     return rec
@@ -244,7 +233,7 @@ def _check_c22(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
 
 def _check_t31(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
     t = count_factors(g)
-    outcome = find_singular_weight(g, bound=cfg.bound, seed=seed)
+    outcome = find_singular_weight(g, seed=seed)
     detail = {"t": t, "weight": _weight_outcome_dict(outcome)}
     if t == 0:
         ok = outcome.identically_singular and outcome.witness is not None
@@ -266,7 +255,7 @@ def _check_r11(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
 
 
 def _check_r32(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
-    outcome = find_singular_weight(g, bound=cfg.bound, seed=seed)
+    outcome = find_singular_weight(g, seed=seed)
     detail = {"weight": _weight_outcome_dict(outcome)}
     if outcome.route != "flow" or outcome.witness is None:
         detail["applicable"] = False
@@ -309,20 +298,13 @@ _CHECKERS: dict[str, Callable] = {
 
 def minrank_record(index: int, g: Graph, cfg: RunConfig) -> dict:
     rec = _base_record(index, g)
-    try:
-        value, witness = min_rank_over_signs(g, exhaustive_m_cap=cfg.caps.minrank_m)
-    except ResourceCapError as exc:
-        rec.update(status="skip", reason=str(exc))
-        return rec
+    value, witness = min_rank_over_signs(g, exhaustive_m_cap=cfg.caps.minrank_m)
     rec.update(status="ok", min_rank=value, witness=list(witness.values))
     return rec
 
 
 def factors_record(index: int, g: Graph, cfg: RunConfig) -> dict:
     rec = _base_record(index, g)
-    if g.n > cfg.caps.factor_n:
-        rec.update(status="skip", reason=f"n={g.n} exceeds factor cap {cfg.caps.factor_n}")
-        return rec
     facs = enumerate_factors(g)
     rec.update(
         status="ok",
@@ -342,37 +324,23 @@ def perrank_record(index: int, g: Graph, cfg: RunConfig) -> dict:
 
 def signfind_record(index: int, g: Graph, cfg: RunConfig) -> dict:
     rec = _base_record(index, g)
-    if g.n > cfg.caps.factor_n:
-        rec.update(status="skip", reason=f"n={g.n} exceeds factor cap {cfg.caps.factor_n}")
-        return rec
-    try:
-        outcome = find_fullrank_sign(
-            g, method=cfg.method, seed=graph_seed(cfg.seed, index),
-            exhaustive_m_cap=cfg.caps.sign_exhaustive_m)
-    except ResourceCapError as exc:
-        rec.update(status="skip", reason=str(exc))
-        return rec
+    outcome = find_fullrank_sign(
+        g, method=cfg.method, seed=graph_seed(cfg.seed, index),
+        exhaustive_m_cap=cfg.caps.sign_exhaustive_m)
     rec.update(status="ok", sign=_sign_outcome_dict(outcome))
     return rec
 
 
 def weightfind_record(index: int, g: Graph, cfg: RunConfig) -> dict:
     rec = _base_record(index, g)
-    if g.n > cfg.caps.factor_n:
-        rec.update(status="skip", reason=f"n={g.n} exceeds factor cap {cfg.caps.factor_n}")
-        return rec
-    outcome = find_singular_weight(g, bound=cfg.bound, seed=graph_seed(cfg.seed, index))
+    outcome = find_singular_weight(g, seed=graph_seed(cfg.seed, index))
     rec.update(status="ok", weight=_weight_outcome_dict(outcome))
     return rec
 
 
 def zsf_record(index: int, g: Graph, cfg: RunConfig) -> dict:
     rec = _base_record(index, g)
-    try:
-        flow = _flow_dict(g, max(cfg.bound, 2), cfg.caps.flow_nodes)
-    except ResourceCapError as exc:
-        rec.update(status="skip", reason=str(exc))
-        return rec
+    flow = _flow_dict(g, max(cfg.bound, 2), cfg.caps.flow_nodes)
     rec.update(status="ok", **flow)
     return rec
 
@@ -388,6 +356,12 @@ _RECORD_FN: dict[str, Callable[[int, Graph, RunConfig], dict]] = {
     "zsf": zsf_record,
 }
 
+# commands whose records are skipped for graphs above the factor_n cap
+_FACTOR_CAPPED = frozenset(("analyze", "verify", "factors", "signfind", "weightfind"))
+# commands whose record is skipped when its search raises ResourceCapError
+# (analyze catches cap hits per block instead)
+_CAP_SKIPPED = frozenset(("verify", "minrank", "signfind", "zsf"))
+
 
 def _worker(args: tuple[str, int, str, RunConfig]) -> dict:
     command, index, g6, cfg = args
@@ -397,13 +371,30 @@ def _worker(args: tuple[str, int, str, RunConfig]) -> dict:
 
 def _with_timing(command: str, index: int, g: Graph, cfg: RunConfig) -> dict:
     if not cfg.timings:
-        return _RECORD_FN[command](index, g, cfg)
+        return _record(command, index, g, cfg)
     import time
 
     start = time.perf_counter()
-    rec = _RECORD_FN[command](index, g, cfg)
+    rec = _record(command, index, g, cfg)
     rec["ms"] = round((time.perf_counter() - start) * 1000, 3)
     return rec
+
+
+def _record(command: str, index: int, g: Graph, cfg: RunConfig) -> dict:
+    """The command's record for one graph, or a "skip" record when the graph
+    exceeds factor_n or the search hits a cap (for the commands above)."""
+    if command in _FACTOR_CAPPED and g.n > cfg.caps.factor_n:
+        return _skip_record(index, g, f"n={g.n} exceeds factor cap {cfg.caps.factor_n}")
+    try:
+        return _RECORD_FN[command](index, g, cfg)
+    except ResourceCapError as exc:
+        if command not in _CAP_SKIPPED:
+            raise
+        return _skip_record(index, g, str(exc))
+
+
+def _skip_record(index: int, g: Graph, reason: str) -> dict:
+    return {**_base_record(index, g), "status": "skip", "reason": reason}
 
 
 def run(graphs: Iterable[Graph], cfg: RunConfig) -> tuple[str, dict]:

@@ -25,10 +25,9 @@ from .assignments import EdgeAssignment
 from .errors import ResourceCapError
 from .exact_linalg import adjacency_matrix, det, rank
 from .factors import has_factor, perrank_fast
-from .graph_core import Graph
+from .graph_core import Graph, spanning_forest
 
 DEFAULT_EXHAUSTIVE_M_CAP = 20
-GREEDY_COMPLETIONS = 32
 
 
 @dataclass(frozen=True)
@@ -54,25 +53,6 @@ class SignSearchOutcome:
         if self.witness is not None:
             return "witness"
         return "certified_none" if self.certified_none else "inconclusive"
-
-
-def spanning_forest(g: Graph) -> frozenset[int]:
-    """Edge indices of a breadth-first spanning forest."""
-    seen = [False] * g.n
-    tree: set[int] = set()
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for u, eidx in g.incidence[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    tree.add(eidx)
-                    queue.append(u)
-    return frozenset(tree)
 
 
 def iter_sign_representatives(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -115,14 +95,11 @@ def find_fullrank_sign(
     methods:
       randomized  sample uniform +-1 vectors (default budget 64*m)
       exhaustive  scan all switching classes; certifies "none" on exhaustion
-      greedy      fix one edge sign at a time, keeping the partial assignment
-                  alive while random completions hit a nonzero determinant;
-                  one-sided error, always ends with an exact check
 
     A graph without a {1,2}-factor is certified immediately: its determinant
     is identically zero for every weighting.
     """
-    if method not in ("randomized", "exhaustive", "greedy"):
+    if method not in ("randomized", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")
     if not has_factor(g):
         return SignSearchOutcome(None, method, 0, True, basis="no_factor")
@@ -146,39 +123,12 @@ def find_fullrank_sign(
         return SignSearchOutcome(None, method, attempts, True, basis="exhausted")
 
     rng = random.Random(seed)
-    if method == "randomized":
-        budget = max_attempts if max_attempts is not None else 64 * max(m, 1)
-        for attempts in range(1, budget + 1):
-            values = tuple(rng.choice((1, -1)) for _ in range(m))
-            if _det_of_signs(g, values) != 0:
-                return verified(values, attempts)
-        return SignSearchOutcome(None, method, budget, False)
-
-    # greedy: self-reducibility with randomized aliveness checks
-    attempts = 0
-    prefix: list[int] = []
-    for i in range(m):
-        fixed = None
-        for s in (1, -1):
-            alive = False
-            for _ in range(GREEDY_COMPLETIONS):
-                attempts += 1
-                tail = [rng.choice((1, -1)) for _ in range(m - i - 1)]
-                values = tuple(prefix + [s] + tail)
-                if _det_of_signs(g, values) != 0:
-                    alive = True
-                    break
-            if alive:
-                fixed = s
-                break
-        if fixed is None:
-            return SignSearchOutcome(None, method, attempts, False)
-        prefix.append(fixed)
-    values = tuple(prefix)
-    attempts += 1
-    if _det_of_signs(g, values) != 0:
-        return verified(values, attempts)
-    return SignSearchOutcome(None, method, attempts, False)
+    budget = max_attempts if max_attempts is not None else 64 * max(m, 1)
+    for attempts in range(1, budget + 1):
+        values = tuple(rng.choice((1, -1)) for _ in range(m))
+        if _det_of_signs(g, values) != 0:
+            return verified(values, attempts)
+    return SignSearchOutcome(None, method, budget, False)
 
 
 def max_rank_over_signs(

@@ -13,15 +13,18 @@ A singular weighting exists iff the graph has at least two {1,2}-factors:
     flow       a zero-sum flow makes the all-ones vector a kernel vector
                (row sums vanish), giving weights bounded by 5 (bipartite)
                or 11 (non-bipartite);
-    algebraic  structural reductions (an edge in no factor, an edge or a
-               whole cycle in every factor) shrink the graph, and rational
-               roots of the determinant polynomial restricted to one edge
-               variable are hunted at random integer points, then scaled to
-               integers using homogeneity (f(d*a) = d^n f(a));
-    exhaustive all assignments with values in {+-1, ..., +-bound}.
+    algebraic  split into components, drop every edge that lies in no
+               factor (it does not occur in the determinant polynomial f),
+               then for an edge i on a cycle of every factor, f = x_i * h:
+               solve h = 0 for a cycle edge j that is never a K2 (h is
+               linear in x_j) at random integer points, and scale the
+               rational root to integers using homogeneity
+               (f(d*a) = d^n f(a)).
 
-Every witness is re-verified by an exact determinant before it is returned;
-an exhausted search never reports false impossibility.
+The t = 0 witness keeps the route label "exhaustive" (every weighting is a
+witness).  Every witness is re-verified by an exact determinant before it
+is returned; a search that finds none reports "inconclusive", never false
+impossibility.
 """
 
 from __future__ import annotations
@@ -29,27 +32,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import isqrt, lcm
+from math import lcm
 
 from .assignments import EdgeAssignment
 from .detpoly import det_poly, is_single_monomial, to_text
 from .errors import InvalidAssignmentError, ResourceCapError
 from .exact_linalg import adjacency_matrix, det, matrix_at_point
-from .factors import (
-    count_factors_at_most,
-    cycle_vertices,
-    edge_membership,
-    iter_factors,
-)
+from .factors import count_factors_at_most, edge_membership, iter_factors
 from .graph_core import Graph, components, delete_edges, induced_subgraph, is_bipartite
 from .zero_sum_flow import find_zero_sum_flow, flow_obstruction
 
-TRIALS_GUARANTEED = 200
-TRIALS_OPPORTUNISTIC = 60
+ROOT_TRIALS = 200
 TRIAL_MAGNITUDE = 10
 FLOW_NODE_BUDGET = 500_000
-EXHAUSTIVE_POINT_CAP = 300_000
 BIPARTITE_FLOW_BOUND = 6
 GENERAL_FLOW_BOUND = 12
 
@@ -60,7 +55,8 @@ class WeightSearchOutcome:
 
     witness                nowhere-zero weighting with det = 0, if found
     route                  "flow" | "algebraic" | "exhaustive" (how the
-                           witness was produced)
+                           witness was produced; "exhaustive" only for
+                           the vacuous t = 0 witness)
     certificate_impossible reason string when no singular weighting exists
     identically_singular   true when the graph has no factor at all, so the
                            determinant vanishes for every weighting and the
@@ -87,12 +83,7 @@ def verify_weight(g: Graph, w: EdgeAssignment) -> str:
     return "singular" if det(adjacency_matrix(g, w)) == 0 else "full_rank"
 
 
-def find_singular_weight(
-    g: Graph,
-    bound: int = 3,
-    seed: int = 0,
-    exhaustive_point_cap: int = EXHAUSTIVE_POINT_CAP,
-) -> WeightSearchOutcome:
+def find_singular_weight(g: Graph, seed: int = 0) -> WeightSearchOutcome:
     """Find a nowhere-zero integer weighting with singular adjacency matrix,
     or certify impossibility.  See the module docstring for the routes."""
     t2 = count_factors_at_most(g, 2)
@@ -109,23 +100,17 @@ def find_singular_weight(
         )
         return WeightSearchOutcome(None, None, reason)
 
-    rng = random.Random(seed)
-    connected = len(components(g)) == 1
-    if connected:
+    if len(components(g)) == 1:
         flow_values = _flow_attempt(g)
         if flow_values is not None:
             _check_witness(g, flow_values)
             return WeightSearchOutcome(
                 EdgeAssignment(flow_values, "weight"), "flow", None)
-    values = _singular_values(g, rng, 0, try_flow=not connected)
-    if values is not None:
-        _check_witness(g, values)
-        return WeightSearchOutcome(EdgeAssignment(values, "weight"), "algebraic", None)
-    values = _exhaustive_scan(g, bound, exhaustive_point_cap)
-    if values is not None:
-        _check_witness(g, values)
-        return WeightSearchOutcome(EdgeAssignment(values, "weight"), "exhaustive", None)
-    return WeightSearchOutcome(None, None, None)
+    values = _singular_values(g, random.Random(seed), try_flow=False)
+    if values is None:
+        return WeightSearchOutcome(None, None, None)
+    _check_witness(g, values)
+    return WeightSearchOutcome(EdgeAssignment(values, "weight"), "algebraic", None)
 
 
 def _check_witness(g: Graph, values: tuple[int, ...]) -> None:
@@ -156,19 +141,17 @@ def _flow_attempt(g: Graph) -> tuple[int, ...] | None:
 
 
 def _singular_values(
-    g: Graph, rng: random.Random, depth: int, try_flow: bool = True
+    g: Graph, rng: random.Random, try_flow: bool = True
 ) -> tuple[int, ...] | None:
     """Witness values for a graph with at least two factors, by component
-    decomposition, flow, structural reduction and rational root hunts."""
-    if depth > 64:
-        return None
+    split, flow, dropping unused edges and a linear-part root hunt."""
     comps = components(g)
     if len(comps) > 1:
         for comp in comps:
             sub, _, emap = induced_subgraph(g, comp)
             if count_factors_at_most(sub, 2) < 2:
                 continue
-            rec = _singular_values(sub, rng, depth + 1)
+            rec = _singular_values(sub, rng)
             if rec is not None:
                 return _lift(g.m, emap, rec)
         return None
@@ -178,69 +161,38 @@ def _singular_values(
         if flow_values is not None:
             return flow_values
 
+    # edges in no factor do not occur in the determinant polynomial: drop
+    # them and solve the rest.  No separate split is needed for an edge uv
+    # that is a K2 in every factor, or a cycle in every factor: every other
+    # edge at its vertices lies in no factor, so after the drop it is a
+    # component of its own and the component split reaches the same
+    # subproblem (G - u - v, or G minus the cycle).
     prof = edge_membership(g)
-    m = g.m
+    unused = [i for i in range(g.m) if not prof.present(i)]
+    if unused:
+        sub, emap = delete_edges(g, unused)
+        rec = _singular_values(sub, rng)
+        return None if rec is None else _lift(g.m, emap, rec)
 
-    # an edge in no factor does not occur in the determinant polynomial:
-    # drop it and solve the rest
-    for i in range(m):
-        if not prof.present(i):
-            sub, emap = delete_edges(g, (i,))
-            rec = _singular_values(sub, rng, depth + 1)
-            if rec is not None:
-                return _lift(m, emap, rec)
-
-    # an edge that is the same K2 component of every factor splits off: the
-    # determinant polynomial is x_i^2 times the one of the graph without
-    # its endpoints
-    for i in range(m):
-        if prof.in_all[i] and not prof.in_cycle[i]:
-            u, v = g.edges[i]
-            keep = [x for x in range(g.n) if x != u and x != v]
-            sub, _, emap = induced_subgraph(g, keep)
-            rec = _singular_values(sub, rng, depth + 1)
-            if rec is not None:
-                return _lift(m, emap, rec)
-
-    # edges that sit on a cycle in every factor and are never a K2
-    first = next(iter_factors(g), None)
-    for i in range(m):
+    # Edge i below exists whenever g has no zero-sum flow.  Each factor F
+    # gives x_F (2 on its K2 edges, 1 on its cycle edges) with
+    # B x_F = 2 * (1, ..., 1) for the vertex-edge incidence matrix B, so
+    # x_F - x_F' is a zero-sum flow where it is nonzero.  Were every edge
+    # to take two values across the factors, a generic combination of
+    # these would be a nowhere-zero flow.  So some edge has the same x_F in
+    # every factor: not 0 (dropped above) and not 2 (a K2 in every factor
+    # is a component with one factor, never recursed into), hence it lies
+    # on a cycle in every factor.  Then f = x_i * h, and h is linear in any
+    # cycle edge j that is never a K2.
+    first = next(iter_factors(g))
+    for i in range(g.m):
         if prof.in_all[i] and not prof.in_k2[i]:
             cyc = next(c for c in first.cycles if i in c)
-            if all(prof.in_all[j] for j in cyc):
-                # the whole cycle is a component of every factor: the
-                # determinant polynomial factors through the rest
-                drop = set(cycle_vertices(g, cyc))
-                keep = [x for x in range(g.n) if x not in drop]
-                sub, _, emap = induced_subgraph(g, keep)
-                rec = _singular_values(sub, rng, depth + 1)
-                if rec is not None:
-                    return _lift(m, emap, rec)
-            else:
-                # f = x_i * h with h linear in any cycle edge that is never
-                # a K2 component: solve h = 0 for that edge
-                for j in cyc:
-                    if j == i or prof.in_all[j] or prof.in_k2[j]:
-                        continue
+            for j in cyc:
+                if j != i and not prof.in_all[j] and not prof.in_k2[j]:
                     sol = _hunt_linear_part_root(g, i, j, rng)
                     if sol is not None:
                         return sol
-
-    # direct rational roots of f restricted to one edge variable; edges
-    # where the restriction is provably linear or has a forced zero root
-    # come first (success needs only a nonvanishing point, which random
-    # integer points provide in abundance)
-    tier1 = [i for i in range(m)
-             if prof.present(i) and not prof.in_k2[i] and not prof.in_all[i]]
-    tier2 = [i for i in range(m)
-             if prof.in_all[i] and prof.in_k2[i] and prof.in_cycle[i]]
-    tier3 = [i for i in range(m) if prof.in_k2[i] and not prof.in_all[i]]
-    for edges_, trials in ((tier1, TRIALS_GUARANTEED), (tier2, TRIALS_GUARANTEED),
-                           (tier3, TRIALS_OPPORTUNISTIC)):
-        for i in edges_:
-            sol = _hunt_f_root(g, i, rng, trials)
-            if sol is not None:
-                return sol
     return None
 
 
@@ -257,24 +209,13 @@ def _random_point(m: int, rng: random.Random) -> list[int]:
     return [rng.choice((1, -1)) * rng.randint(1, TRIAL_MAGNITUDE) for _ in range(m)]
 
 
-def _nonzero_rational_root(c2: int, c1: int, c0: int) -> Fraction | None:
-    """A nonzero rational root of c2*x^2 + c1*x + c0, if one exists."""
-    if c2 == 0:
-        if c1 == 0:
-            return Fraction(1) if c0 == 0 else None
-        if c0 == 0:
-            return None
-        return Fraction(-c0, c1)
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc < 0:
+def _nonzero_rational_root(c1: int, c0: int) -> Fraction | None:
+    """A nonzero rational root of c1*x + c0, if one exists."""
+    if c1 == 0:
+        return Fraction(1) if c0 == 0 else None
+    if c0 == 0:
         return None
-    s = isqrt(disc)
-    if s * s != disc:
-        return None
-    for num in (-c1 + s, -c1 - s):
-        if num != 0:
-            return Fraction(num, 2 * c2)
-    return None
+    return Fraction(-c0, c1)
 
 
 def _scaled_integer_point(vec: list[Fraction]) -> tuple[int, ...]:
@@ -284,81 +225,29 @@ def _scaled_integer_point(vec: list[Fraction]) -> tuple[int, ...]:
     return tuple(int(f * d) for f in vec)
 
 
-def _hunt_f_root(g: Graph, i: int, rng: random.Random, trials: int) -> tuple[int, ...] | None:
-    """Random integer points for all edges but i, then a rational root of
-    the induced univariate restriction of the determinant polynomial."""
-    m = g.m
-    for _ in range(trials):
-        pt = _random_point(m, rng)
-
-        def f_with(x: int) -> int:
-            q = list(pt)
-            q[i] = x
-            return _f_at(g, q)
-
-        c0 = f_with(0)
-        f1, f_1 = f_with(1), f_with(-1)
-        c1 = (f1 - f_1) // 2
-        c2 = (f1 + f_1) // 2 - c0
-        root = _nonzero_rational_root(c2, c1, c0)
-        if root is None:
-            continue
-        vec = [Fraction(x) for x in pt]
-        vec[i] = root
-        out = _scaled_integer_point(vec)
-        if _f_at(g, out) == 0 and all(out):
-            return out
-    return None
-
-
 def _hunt_linear_part_root(
     g: Graph, i: int, j: int, rng: random.Random
 ) -> tuple[int, ...] | None:
     """For f = x_i * h (edge i on a cycle of every factor, never a K2),
-    solve h = 0 for edge j, where h is the x_i-linear part of f."""
+    solve h = 0 for edge j, which is never a K2, so h is linear in x_j.
+    h does not involve x_i, so it is f with x_i = 1."""
     m = g.m
-    for _ in range(TRIALS_GUARANTEED):
+    for _ in range(ROOT_TRIALS):
         pt = _random_point(m, rng)
+        pt[i] = 1
 
         def h_with(x: int) -> int:
             q = list(pt)
             q[j] = x
-            q[i] = 1
-            plus = _f_at(g, q)
-            q[i] = -1
-            minus = _f_at(g, q)
-            return (plus - minus) // 2
+            return _f_at(g, q)
 
         c0 = h_with(0)
-        h1, h_1 = h_with(1), h_with(-1)
-        c1 = (h1 - h_1) // 2
-        c2 = (h1 + h_1) // 2 - c0
-        root = _nonzero_rational_root(c2, c1, c0)
+        root = _nonzero_rational_root(h_with(1) - c0, c0)
         if root is None:
             continue
         vec = [Fraction(x) for x in pt]
-        vec[i] = Fraction(1)
         vec[j] = root
         out = _scaled_integer_point(vec)
         if _f_at(g, out) == 0 and all(out):
             return out
-    return None
-
-
-def _exhaustive_scan(g: Graph, bound: int, point_cap: int) -> tuple[int, ...] | None:
-    """Last resort: scan all weightings with values in {+-1, ..., +-bound}
-    in a fixed order.  Skipped (returns None) when the space exceeds the
-    point cap, so it never claims impossibility."""
-    if bound < 1 or g.m == 0:
-        return None
-    space = (2 * bound) ** g.m
-    if space > point_cap:
-        return None
-    domain = []
-    for v in range(1, bound + 1):
-        domain.append(v)
-        domain.append(-v)
-    for combo in product(tuple(domain), repeat=g.m):
-        if _f_at(g, combo) == 0:
-            return combo
     return None

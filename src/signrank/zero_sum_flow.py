@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .assignments import EdgeAssignment
 from .errors import InvalidAssignmentError, PreconditionError, ResourceCapError
-from .graph_core import Graph, bipartition, components, induced_subgraph
+from .graph_core import Graph, bipartition, components, induced_subgraph, spanning_forest
 
 
 @dataclass(frozen=True)
@@ -193,20 +193,7 @@ def _solve_component(g: Graph, k: int, budget: list[int]) -> list[int] | None:
         return []
     # free choices happen only on edges outside a spanning forest; forest
     # edges are filled in by unit propagation once their subtree is decided
-    forest: set[int] = set()
-    seen = [False] * g.n
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u, eidx in g.incidence[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    forest.add(eidx)
-                    stack.append(u)
+    forest = spanning_forest(g)
     order = [i for i in range(m) if i not in forest] + sorted(forest)
     values = [0] * m
     undecided = [g.degree(v) for v in range(g.n)]
@@ -260,17 +247,27 @@ def _solve_component(g: Graph, k: int, budget: list[int]) -> list[int] | None:
                 partial[v] -= x
                 undecided[v] += 1
 
-    def search(pos: int) -> bool:
+    # depth-first search without recursion: one frame per decided edge,
+    # (position in order, index of its value in vals, its trail); values
+    # are tried in vals order, so the first flow found is fixed
+    frames: list[tuple[int, int, list[int]]] = []
+    pos = vi = 0
+    while True:
         while pos < m and values[order[pos]] != 0:
             pos += 1
         if pos == m:
-            return True
-        e = order[pos]
-        for x in vals:
-            trail: list[int] = []
-            if assign(e, x, trail) and search(pos + 1):
-                return True
+            return list(values)
+        if vi == len(vals):
+            if not frames:
+                return None
+            pos, vi, trail = frames.pop()
             undo(trail)
-        return False
-
-    return list(values) if search(0) else None
+            vi += 1
+            continue
+        trail = []
+        if assign(order[pos], vals[vi], trail):
+            frames.append((pos, vi, trail))
+            pos, vi = pos + 1, 0
+        else:
+            undo(trail)
+            vi += 1

@@ -75,7 +75,7 @@ def test_criterion_3_singular_weight_sweep(corpus_le6):
     found = certs = flagged = 0
     for idx, g in enumerate(corpus_le6):
         t = count_factors(g)
-        out = find_singular_weight(g, bound=2, seed=idx)
+        out = find_singular_weight(g, seed=idx)
         if t == 0:
             assert out.identically_singular and out.witness is not None
             assert verify_weight(g, out.witness) == "singular"
@@ -105,7 +105,7 @@ def test_criterion_5_flow_route_weight_bounds(corpus_le7):
     (bipartite) or 11 (non-bipartite)."""
     fired = 0
     for idx, g in enumerate(corpus_le7):
-        out = find_singular_weight(g, bound=2, seed=idx)
+        out = find_singular_weight(g, seed=idx)
         if out.route == "flow" and out.witness is not None:
             bound = 5 if is_bipartite(g) else 11
             assert out.witness.max_abs() <= bound

@@ -10,7 +10,6 @@ from signrank.factors import (
     count_factors,
     count_factors_at_most,
     count_nonzero_transversals,
-    cycle_vertices,
     edge_membership,
     enumerate_factors,
     has_factor,
@@ -256,10 +255,3 @@ class TestEdgeMembership:
         prof = edge_membership(path(3))
         assert prof.factor_total == 0
         assert not any(prof.in_all)
-
-
-class TestCycleVertices:
-    def test_c4(self):
-        f = enumerate_factors(cycle(4))[0]
-        cyc = f.cycles[0]
-        assert cycle_vertices(cycle(4), cyc) == (0, 1, 2, 3)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 from signrank.assignments import EdgeAssignment
 from signrank.errors import GraphParseError
 from signrank.exact_linalg import adjacency_matrix, det
-from signrank.graph_core import encode_graph6, parse_graph6
+from signrank.graph_core import Graph, encode_graph6, parse_graph6
 from signrank import harness
 from signrank.harness import (
     Caps,
@@ -121,6 +122,54 @@ class TestAnalyze:
         assert summary == {"records": 2, "pass": 0, "fail": 0, "skip": 0, "partial": 1}
         assert exit_code(summary) == 3
         assert exit_code(summary, allow_skips=True) == 0
+
+
+class TestSkipRecords:
+    @pytest.mark.parametrize(
+        "command, theorem", [("analyze", None), ("verify", "t31"), ("factors", None),
+                             ("signfind", None), ("weightfind", None)])
+    def test_factor_cap_skip_keeps_timing(self, command, theorem):
+        cfg = RunConfig(command=command, theorem=theorem, timings=True,
+                        caps=Caps(factor_n=3))
+        report, summary = run([complete(4)], cfg)
+        _, (rec,), _ = parse_report(report)
+        assert rec["status"] == "skip" and "factor cap 3" in rec["reason"]
+        assert "ms" in rec and summary["skip"] == 1
+
+    @pytest.mark.parametrize("command, theorem, method, caps", [
+        ("verify", "t21", "randomized", Caps(sign_exhaustive_m=2)),
+        ("minrank", None, "randomized", Caps(minrank_m=2)),
+        ("signfind", None, "exhaustive", Caps(sign_exhaustive_m=2)),
+        ("zsf", None, "randomized", Caps(flow_nodes=0)),
+    ])
+    def test_cap_hit_skips_the_record(self, command, theorem, method, caps):
+        cfg = RunConfig(command=command, theorem=theorem, method=method, caps=caps)
+        report, summary = run([cycle(4), path(3)], cfg)
+        _, (c4, p3), _ = parse_report(report)
+        assert c4["status"] == "skip" and c4["g6"] == C4_G6 and c4["reason"]
+        assert p3["status"] != "skip" and summary["skip"] == 1
+
+
+class TestZsfCommand:
+    def test_long_chain_of_4_cycles(self):
+        # 300 4-cycles in a chain, each sharing a vertex with the next: 300
+        # free edges, so a search recursing once per free edge would overrun
+        # a recursion limit 100 frames above the current depth
+        k = 300
+        edges = []
+        for c in range(k):
+            a = 3 * c
+            edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a + 3), (a, a + 3)]
+        g = Graph(3 * k + 1, tuple(edges))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            report, summary = run([g], RunConfig(command="zsf"))
+        finally:
+            sys.setrecursionlimit(limit)
+        _, (rec,), _ = parse_report(report)
+        assert summary["skip"] == 0 and rec["status"] == "ok"
+        assert verify_flow(g, EdgeAssignment(tuple(rec["values"]), "flow"))
 
 
 class TestVerifyCommand:
@@ -310,6 +359,10 @@ class TestCli:
         for jobs in ("0", "-3", "x"):
             res = run_cli(["perrank", "-", "--jobs", jobs], stdin=C4_G6 + "\n")
             assert res.returncode == 2 and "--jobs" in res.stderr
+
+    def test_greedy_method_rejected(self):
+        res = run_cli(["signfind", "-", "--method", "greedy"], stdin=C4_G6 + "\n")
+        assert res.returncode == 2 and "--method" in res.stderr
 
     def test_analyze_whole_corpus(self):
         # the shipped corpus at default caps: no record may sink the run

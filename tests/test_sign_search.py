@@ -16,7 +16,7 @@ from signrank.sign_search import (
     switch_at_vertex,
 )
 
-from conftest import complete, cycle, path, star
+from conftest import complete, cycle, path
 
 
 def random_graph(rng, n, p=0.5) -> Graph:
@@ -41,7 +41,7 @@ class TestFindFullrankSign:
         assert out.witness is not None
         assert det(adjacency_matrix(cycle(4), out.witness)) != 0
 
-    @pytest.mark.parametrize("method", ["randomized", "exhaustive", "greedy"])
+    @pytest.mark.parametrize("method", ["randomized", "exhaustive"])
     def test_methods_agree_on_small_graphs(self, method, corpus_le5):
         for idx, g in enumerate(corpus_le5):
             out = find_fullrank_sign(g, method=method, seed=idx)
@@ -171,14 +171,3 @@ class TestMinRank:
             mn, _ = min_rank_over_signs(g)
             mx = max_rank_over_signs(g)
             assert mn <= mx == perrank_fast(g) <= g.n
-
-
-class TestGreedy:
-    def test_finds_witness_on_k4(self):
-        out = find_fullrank_sign(complete(4), method="greedy", seed=0)
-        assert out.witness is not None
-        assert det(adjacency_matrix(complete(4), out.witness)) != 0
-
-    def test_star_certified(self):
-        out = find_fullrank_sign(star(3), method="greedy")
-        assert out.status == "certified_none"

@@ -1,14 +1,15 @@
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
 from signrank.assignments import EdgeAssignment
 from signrank.errors import InvalidAssignmentError
 from signrank.exact_linalg import adjacency_matrix, det
-from signrank.factors import count_factors
-from signrank.graph_core import Graph
+from signrank.factors import count_factors, count_factors_at_most
+from signrank.graph_core import Graph, components
 from signrank.weight_search import find_singular_weight, verify_weight
-from signrank.zero_sum_flow import flow_exists_nonbipartite_test
+from signrank.zero_sum_flow import flow_exists_nonbipartite_test, flow_obstruction
 
 from conftest import complete, cycle, path, star
 
@@ -30,7 +31,7 @@ class TestVerifyWeight:
 
 class TestWitnesses:
     def test_c4_flow_route(self):
-        out = find_singular_weight(cycle(4), bound=1)
+        out = find_singular_weight(cycle(4))
         assert out.route == "flow"
         assert verify_weight(cycle(4), out.witness) == "singular"
         assert out.witness.max_abs() <= 5
@@ -69,6 +70,23 @@ class TestWitnesses:
         assert out.witness is not None
         assert verify_weight(g, out.witness) == "singular"
 
+    def test_flow_free_random_graphs_never_inconclusive(self):
+        # connected graphs with t >= 2 and no zero-sum flow, n = 8-11: the
+        # component split, unused-edge drop and linear-part hunt answer all
+        rng = random.Random(20261019)
+        found = 0
+        while found < 200:
+            n = rng.randint(8, 11)
+            p = rng.choice((0.25, 0.3, 0.35, 0.4))
+            g = Graph(n, tuple(e for e in combinations(range(n), 2) if rng.random() < p))
+            if (len(components(g)) != 1 or count_factors_at_most(g, 2) < 2
+                    or flow_obstruction(g) is None):
+                continue
+            out = find_singular_weight(g, seed=found)
+            assert out.route == "algebraic", g
+            assert verify_weight(g, out.witness) == "singular"
+            found += 1
+
     def test_deterministic_for_fixed_seed(self):
         g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)))
         a = find_singular_weight(g, seed=9)
@@ -77,45 +95,9 @@ class TestWitnesses:
 
 
 class TestRootHunts:
-    """The rational-root helpers directly; on small corpora the structural
-    reductions usually resolve first, so these paths are pinned here."""
-
-    def test_quadratic_on_c4_edge(self):
-        # restriction to any C4 edge has discriminant zero, so every trial
-        # point yields a rational root
-        import random
-
-        from signrank.weight_search import _f_at, _hunt_f_root
-
-        out = _hunt_f_root(cycle(4), 0, random.Random(0), 50)
-        assert out is not None and all(out)
-        assert _f_at(cycle(4), out) == 0
-
-    def test_linear_tier_on_chorded_cycle(self):
-        import random
-
-        from signrank.weight_search import _f_at, _hunt_f_root
-
-        g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)))
-        # edge (2,3) is on a cycle of one factor only and never a K2, so the
-        # restriction is linear with nonzero slope and intercept
-        out = _hunt_f_root(g, 2, random.Random(1), 50)
-        assert out is not None and _f_at(g, out) == 0
-
-    def test_forced_zero_intercept_tier(self):
-        import random
-
-        from signrank.weight_search import _f_at, _hunt_f_root
-
-        g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)))
-        # edge (3,4) is in every factor, as a K2 in one and on a cycle in the
-        # other: the constant part vanishes and the nonzero root is rational
-        out = _hunt_f_root(g, 3, random.Random(2), 50)
-        assert out is not None and _f_at(g, out) == 0
+    """The rational-root helpers directly."""
 
     def test_linear_part_solver(self):
-        import random
-
         from signrank.weight_search import _f_at, _hunt_linear_part_root
 
         g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)))
@@ -129,14 +111,10 @@ class TestRootHunts:
 
         from signrank.weight_search import _nonzero_rational_root
 
-        assert _nonzero_rational_root(0, 2, -3) == Fraction(3, 2)
-        assert _nonzero_rational_root(0, 2, 0) is None
-        assert _nonzero_rational_root(0, 0, 5) is None
-        assert _nonzero_rational_root(0, 0, 0) == 1
-        assert _nonzero_rational_root(1, 0, -4) in (2, -2)
-        assert _nonzero_rational_root(1, 0, 4) is None  # negative discriminant
-        assert _nonzero_rational_root(1, 0, -2) is None  # irrational roots
-        assert _nonzero_rational_root(1, -3, 0) == 3  # zero root skipped
+        assert _nonzero_rational_root(2, -3) == Fraction(3, 2)
+        assert _nonzero_rational_root(2, 0) is None  # zero root skipped
+        assert _nonzero_rational_root(0, 5) is None
+        assert _nonzero_rational_root(0, 0) == 1
 
 
 class TestImpossibility:
