@@ -4,8 +4,9 @@ Subcommands: analyze, verify, minrank, factors, perrank, signfind,
 weightfind, zsf.  Input is a file path or "-" for standard input, holding
 one graph per line (graph6, the default) or a single edge-list graph
 (--format edgelist).  Exit codes: 0 ok, 1 verification failure, 2 usage,
-read or parse error, 3 resource cap hit (skipped records, or records with a
-skipped block), unless --allow-skips.
+read or parse error, 3 resource cap hit or answer missing (skipped records,
+or records with a skipped block or an inconclusive weight search), unless
+--allow-skips.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timings", action="store_true",
                    help="include per-record timings (breaks byte reproducibility)")
     p.add_argument("--allow-skips", action="store_true",
-                   help="exit 0 even when records were skipped at a resource cap")
+                   help="exit 0 even when records were skipped or partial")
 
 
 def build_parser() -> argparse.ArgumentParser:

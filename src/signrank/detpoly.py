@@ -20,7 +20,7 @@ from typing import Sequence, Union
 from .assignments import EdgeAssignment
 from .errors import InvalidAssignmentError, ResourceCapError
 from .graph_core import Graph
-from .factors import iter_factors
+from .factors import count_factors, iter_factors
 
 DEFAULT_TERM_CAP = 500_000
 
@@ -46,15 +46,16 @@ class DetPolynomial:
 def det_poly(g: Graph, max_terms: int = DEFAULT_TERM_CAP) -> DetPolynomial:
     """Build the determinant polynomial from the factor expansion.
 
-    One term per {1,2}-factor; raises ResourceCapError if the factor count
-    exceeds max_terms (the polynomial can be exponentially large).
+    One term per {1,2}-factor; raises ResourceCapError, before listing any
+    factor, if the exact factor count exceeds max_terms (the polynomial can
+    be exponentially large).
     """
+    if count_factors(g) > max_terms:
+        raise ResourceCapError(
+            f"determinant polynomial exceeds {max_terms} terms; raise max_terms")
     m = g.m
     terms: dict[tuple[int, ...], int] = {}
     for f in iter_factors(g):
-        if len(terms) >= max_terms:
-            raise ResourceCapError(
-                f"determinant polynomial exceeds {max_terms} terms; raise max_terms")
         exp = [0] * m
         for i in f.k2_edges:
             exp[i] = 2

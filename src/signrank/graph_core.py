@@ -134,6 +134,8 @@ def parse_edge_list(text: str) -> Graph:
 
 
 _G6_HEADER = ">>graph6<<"
+# byte v -> the graph6 character chr(63 + v), for the 6-bit values v
+_G6_CHARS = bytes((63 + v) % 256 for v in range(256))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -194,19 +196,13 @@ def encode_graph6(g: Graph) -> str:
         head = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
     else:
         head = [63, 63] + [(n >> k) & 63 for k in (30, 24, 18, 12, 6, 0)]
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for k in range(0, len(bits), 6):
-        v = 0
-        for b in bits[k:k + 6]:
-            v = (v << 1) | b
-        body.append(v)
-    return "".join(chr(63 + v) for v in head + body)
+    # bit j(j-1)/2 + i of the upper triangle, column by column, is edge ij;
+    # six bits to a character, the first in its high bit
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in g.edges:
+        pos = j * (j - 1) // 2 + i
+        body[pos // 6] |= 32 >> pos % 6
+    return (bytes(head) + body).translate(_G6_CHARS).decode("ascii")
 
 
 def components(g: Graph) -> list[frozenset[int]]:

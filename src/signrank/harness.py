@@ -9,7 +9,12 @@ Report format (JSON lines, diffable and streamable):
                              "partial": Q}}
 
 "partial" counts records with status "ok" in which a block carries
-"skipped" (an analyze record whose sign or flow step hit its cap).
+"skipped" (an analyze record whose sign or flow step hit its cap), and
+records with status "ok" or "pass" whose weight search was inconclusive (an
+analyze or weightfind "weight" block, or a verify r32 "check" block's
+"weight", with no witness, no certificate_impossible and not
+identically_singular; r32 passes such a graph only because it has no flow
+route witness to check, and t31 fails it).
 
 Objects are serialized with sorted keys and no whitespace, so two runs with
 identical inputs, seed and configuration produce byte-identical reports.
@@ -47,6 +52,7 @@ from .factors import (
     enumerate_factors,
     has_factor,
     perrank_fast,
+    release_table,
 )
 from .graph_core import (
     Graph,
@@ -391,6 +397,10 @@ def _record(command: str, index: int, g: Graph, cfg: RunConfig) -> dict:
         if command not in _CAP_SKIPPED:
             raise
         return _skip_record(index, g, str(exc))
+    finally:
+        # run() holds every input graph until it returns: free the factor
+        # table with the record, not with the graph
+        release_table(g)
 
 
 def _skip_record(index: int, g: Graph, reason: str) -> dict:
@@ -449,9 +459,18 @@ def _dumps(obj: dict) -> str:
 
 
 def _is_partial(rec: dict) -> bool:
-    """An ok record with a block whose answer was skipped at a cap."""
-    return rec.get("status") == "ok" and any(
-        isinstance(v, dict) and "skipped" in v for v in rec.values())
+    """An ok record with a block whose answer was skipped at a cap, or an ok
+    or pass record with an inconclusive weight search: no witness, no
+    certificate of impossibility, and not identically singular (an edgeless
+    graph's vacuous witness is the empty list, written as null)."""
+    if rec.get("status") not in ("ok", "pass"):
+        return False
+    weight = rec.get("weight") or rec.get("check", {}).get("weight")
+    if weight is not None and weight.get("witness") is None \
+            and weight.get("certificate_impossible") is None \
+            and not weight.get("identically_singular"):
+        return True
+    return any(isinstance(v, dict) and "skipped" in v for v in rec.values())
 
 
 def exit_code(summary: dict, allow_skips: bool = False) -> int:

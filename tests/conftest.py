@@ -42,6 +42,15 @@ def cycle(n: int) -> Graph:
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n - 1)) + ((0, n - 1),))
 
 
+def chain_of_4_cycles(k: int) -> Graph:
+    """k 4-cycles in a chain, each sharing a vertex with the next."""
+    edges = []
+    for c in range(k):
+        a = 3 * c
+        edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a + 3), (a, a + 3)]
+    return Graph(3 * k + 1, tuple(edges))
+
+
 def path(n: int) -> Graph:
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from signrank import detpoly
 from signrank.detpoly import (
     DetPolynomial,
     det_poly,
@@ -47,6 +48,18 @@ class TestConstruction:
     def test_term_cap(self):
         with pytest.raises(ResourceCapError):
             det_poly(cycle(4), max_terms=2)
+
+    def test_term_cap_checked_before_listing(self, monkeypatch):
+        def no_listing(g):
+            raise AssertionError("listed factors above the cap")
+
+        monkeypatch.setattr(detpoly, "iter_factors", no_listing)
+        with pytest.raises(ResourceCapError):
+            det_poly(complete(8), max_terms=6201)
+
+    def test_term_cap_is_inclusive(self):
+        # t(C4) = 3 terms fit a cap of 3
+        assert det_poly(cycle(4), max_terms=3).term_count() == 3
 
     def test_one_term_per_factor_and_homogeneous(self, corpus_le5):
         from signrank.factors import count_factors

@@ -1,5 +1,7 @@
 import random
+import weakref
 from itertools import combinations
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from signrank.factors import (
     iter_factors,
     perrank_bruteforce,
     perrank_fast,
+    release_table,
 )
 from signrank.graph_core import Graph
 
@@ -171,9 +174,78 @@ class TestCounts:
         assert count_nonzero_transversals(g) == expected
 
 
+def reference_factors(g: Graph) -> Iterator[Factor]:
+    """The backtracking listing that iter_factors replaced, kept as the slow
+    reference it must match factor for factor and in order.
+
+    Backtracks over the lowest-index uncovered vertex v: either match v to
+    an uncovered neighbor (a K2 component), or grow a path from v that must
+    close into a cycle of length >= 3.  Since v is the lowest uncovered
+    vertex it is the minimum of its component, and cycles are closed only
+    when the second vertex is smaller than the last, so each cycle appears
+    in exactly one orientation.
+    """
+    n = g.n
+    if n == 0:
+        yield Factor((), (), frozenset())
+        return
+    covered = [False] * n
+    k2: list[int] = []
+    cycles: list[tuple[int, ...]] = []
+    adj = g._adjacency
+
+    def next_uncovered(start: int) -> int:
+        i = start
+        while i < n and covered[i]:
+            i += 1
+        return i
+
+    def rec(v: int) -> Iterator[Factor]:
+        if v == n:
+            yield Factor(tuple(sorted(k2)), tuple(cycles), frozenset(range(n)))
+            return
+        covered[v] = True
+        for u in adj[v]:
+            if covered[u]:
+                continue
+            covered[u] = True
+            k2.append(g.edge_index(v, u))
+            yield from rec(next_uncovered(v + 1))
+            k2.pop()
+            covered[u] = False
+        path = [v]
+
+        def grow() -> Iterator[Factor]:
+            current = path[-1]
+            for u in adj[current]:
+                if u == v and len(path) >= 3 and path[1] < path[-1]:
+                    cyc = tuple(
+                        [g.edge_index(path[i], path[i + 1]) for i in range(len(path) - 1)]
+                        + [g.edge_index(path[-1], v)]
+                    )
+                    cycles.append(cyc)
+                    yield from rec(next_uncovered(v + 1))
+                    cycles.pop()
+                elif not covered[u]:
+                    covered[u] = True
+                    path.append(u)
+                    yield from grow()
+                    path.pop()
+                    covered[u] = False
+
+        yield from grow()
+        covered[v] = False
+
+    yield from rec(next_uncovered(0))
+
+
+def _gnp(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph(n, tuple(e for e in combinations(range(n), 2) if rng.random() < p))
+
+
 def _listed_sums(g: Graph) -> tuple[int, int]:
-    """The counts by enumeration: (t, nonzero transversals)."""
-    facs = list(iter_factors(g))
+    """The counts by the reference listing: (t, nonzero transversals)."""
+    facs = list(reference_factors(g))
     return len(facs), sum(2 ** f.cycle_count for f in facs)
 
 
@@ -187,9 +259,7 @@ class TestCountingDP:
     def test_random_gnp(self):
         rng = random.Random(20261018)
         for _ in range(50):
-            n = rng.randint(8, 10)
-            p = rng.choice((0.3, 0.4, 0.5))
-            g = Graph(n, tuple(e for e in combinations(range(n), 2) if rng.random() < p))
+            g = _gnp(rng, rng.randint(8, 10), rng.choice((0.3, 0.4, 0.5)))
             assert (count_factors(g), count_nonzero_transversals(g)) == _listed_sums(g)
 
     def test_complete_graphs(self):
@@ -200,6 +270,54 @@ class TestCountingDP:
         for n in range(13):
             assert count_factors(complete(n)) == t[n]
             assert count_nonzero_transversals(complete(n)) == perm[n]
+
+
+class TestListingWalk:
+    """iter_factors walks the DP table; the reference backtracking must give
+    the same factors in the same order."""
+
+    def test_corpora(self, corpus_le7, corpus_bipartite_2ec_n8):
+        for g in corpus_le7 + corpus_bipartite_2ec_n8:
+            assert list(iter_factors(g)) == list(reference_factors(g))
+
+    def test_random_gnp(self):
+        rng = random.Random(20261018)
+        for _ in range(50):
+            g = _gnp(rng, rng.randint(8, 11), rng.choice((0.2, 0.3, 0.4, 0.5, 0.6, 0.7)))
+            assert list(iter_factors(g)) == list(reference_factors(g))
+
+    def test_early_exit_values_on_corpora(self, corpus_le7, corpus_bipartite_2ec_n8):
+        for g in corpus_le7 + corpus_bipartite_2ec_n8:
+            ref = reference_factors(g)
+            first_two = sum(1 for _ in zip(range(2), ref))
+            assert has_factor(g) == (first_two > 0)
+            assert count_factors_at_most(g, 2) == first_two
+
+    def test_table_freed_with_graph(self):
+        # the table holds no reference back to the graph and no cycle, so
+        # it goes with the graph at once, not at the next garbage collection
+        g = complete(6)
+        list(iter_factors(g))
+        count_nonzero_transversals(g)
+        table = weakref.ref(vars(g)["_factor_table"])
+        del g
+        assert table() is None
+
+    def test_release_table(self):
+        g = complete(6)
+        assert count_factors(g) == 130
+        table = weakref.ref(vars(g)["_factor_table"])
+        release_table(g)
+        assert table() is None and "_factor_table" not in vars(g)
+        release_table(g)            # no table: nothing to do
+        assert list(iter_factors(g)) == list(reference_factors(g))
+
+    def test_first_factor_after_counting(self):
+        # the table built for a count serves the listing on the same graph
+        g = complete(7)
+        assert count_factors(g) == 822
+        assert next(iter_factors(g)) == next(reference_factors(g))
+        assert list(iter_factors(g)) == list(reference_factors(g))
 
 
 class TestPerrank:

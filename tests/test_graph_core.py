@@ -16,7 +16,32 @@ from signrank.graph_core import (
     parse_graph6,
 )
 
-from conftest import complete, cycle, path
+from conftest import chain_of_4_cycles, complete, cycle, path
+
+
+def reference_encode_graph6(g: Graph) -> str:
+    """The encoder that asked has_edge for all n(n-1)/2 vertex pairs, kept
+    as the reference for encode_graph6."""
+    n = g.n
+    if n <= 62:
+        head = [n]
+    elif n <= 258047:
+        head = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
+    else:
+        head = [63, 63] + [(n >> k) & 63 for k in (30, 24, 18, 12, 6, 0)]
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(1 if g.has_edge(i, j) else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    body = []
+    for k in range(0, len(bits), 6):
+        v = 0
+        for b in bits[k:k + 6]:
+            v = (v << 1) | b
+        body.append(v)
+    return "".join(chr(63 + v) for v in head + body)
 
 
 class TestParseEdgeList:
@@ -95,6 +120,16 @@ class TestGraph6:
         g = Graph(100, ((0, 99),))
         back = parse_graph6(encode_graph6(g))
         assert back.n == 100 and back.edges == ((0, 99),)
+
+    def test_matches_reference_encoder(self, corpus_le7, corpus_bipartite_2ec_n8):
+        # the chain has n = 901, a 4-character size field, and edges that
+        # are not in row-major order
+        chain = chain_of_4_cycles(300)
+        for g in corpus_le7 + corpus_bipartite_2ec_n8 + (chain,):
+            text = encode_graph6(g)
+            assert text == reference_encode_graph6(g)
+            back = parse_graph6(text)
+            assert back.n == g.n and set(back.edges) == set(g.edges)
 
     def test_round_trip_random_graphs(self):
         rng = random.Random(20240811)

@@ -9,7 +9,7 @@ from signrank.assignments import EdgeAssignment
 from signrank.errors import GraphParseError
 from signrank.exact_linalg import adjacency_matrix, det
 from signrank.graph_core import Graph, encode_graph6, parse_graph6
-from signrank import harness
+from signrank import cli, harness
 from signrank.harness import (
     Caps,
     RunConfig,
@@ -20,10 +20,10 @@ from signrank.harness import (
     pool_size,
     run,
 )
-from signrank.weight_search import verify_weight
+from signrank.weight_search import WeightSearchOutcome, verify_weight
 from signrank.zero_sum_flow import verify_flow
 
-from conftest import DATA, complete, cycle, path
+from conftest import DATA, chain_of_4_cycles, complete, cycle, path
 
 C4_G6 = encode_graph6(cycle(4))
 P3_G6 = encode_graph6(path(3))
@@ -124,6 +124,80 @@ class TestAnalyze:
         assert exit_code(summary, allow_skips=True) == 0
 
 
+class TestInconclusiveWeight:
+    """A weight search that ends with neither a witness nor a certificate
+    leaves the record ok, but counts it as partial."""
+
+    @pytest.fixture
+    def inconclusive(self, monkeypatch):
+        monkeypatch.setattr(harness, "find_singular_weight",
+                            lambda g, seed=0: WeightSearchOutcome(None, None, None))
+
+    @pytest.mark.parametrize("command", ["weightfind", "analyze"])
+    def test_counts_as_partial(self, inconclusive, command):
+        report, summary = run([cycle(4)], RunConfig(command=command))
+        _, (rec,), _ = parse_report(report)
+        assert rec["status"] == "ok"
+        assert rec["weight"]["witness"] is None and rec["weight"]["route"] is None
+        assert summary == {"records": 1, "pass": 0, "fail": 0, "skip": 0, "partial": 1}
+        assert exit_code(summary) == 3
+        assert exit_code(summary, allow_skips=True) == 0
+
+    def test_verify_r32_passes_as_partial(self, inconclusive):
+        # r32 has no flow route witness to check: the record passes, and the
+        # summary shows the missing answer
+        report, summary = run([cycle(4)], RunConfig(command="verify", theorem="r32"))
+        _, (rec,), _ = parse_report(report)
+        assert rec["status"] == "pass" and rec["check"]["applicable"] is False
+        assert rec["check"]["weight"]["witness"] is None
+        assert summary == {"records": 1, "pass": 1, "fail": 0, "skip": 0, "partial": 1}
+        assert exit_code(summary) == 3
+        assert exit_code(summary, allow_skips=True) == 0
+
+    def test_verify_t31_fails(self, inconclusive):
+        # C4 has two factors, so t31 needs a witness: the record fails
+        report, summary = run([cycle(4)], RunConfig(command="verify", theorem="t31"))
+        _, (rec,), _ = parse_report(report)
+        assert rec["status"] == "fail" and rec["check"]["weight"]["witness"] is None
+        assert summary == {"records": 1, "pass": 0, "fail": 1, "skip": 0, "partial": 0}
+        assert exit_code(summary, allow_skips=True) == 1
+
+    @pytest.mark.parametrize("theorem, code", [("r32", 3), ("t31", 1)])
+    def test_cli_verify_exit_code(self, inconclusive, tmp_path, capsys, theorem, code):
+        corpus = tmp_path / "c4.g6"
+        corpus.write_text(C4_G6 + "\n")
+        assert cli.main(["verify", theorem, str(corpus)]) == code
+
+    def test_cli_exit_code(self, inconclusive, tmp_path, capsys):
+        corpus = tmp_path / "c4.g6"
+        corpus.write_text(C4_G6 + "\n")
+        assert cli.main(["weightfind", str(corpus)]) == 3
+        _, _, summary = parse_report(capsys.readouterr().out)
+        assert summary["partial"] == 1
+        assert cli.main(["weightfind", str(corpus), "--allow-skips"]) == 0
+
+    def test_complete_answers_are_not_partial(self):
+        # t = 1 gets a certificate instead of a witness; an edgeless graph's
+        # vacuous witness is written as null
+        report, summary = run([complete(3), Graph(2, ())], RunConfig(command="weightfind"))
+        _, (k3, edgeless), _ = parse_report(report)
+        assert k3["weight"]["certificate_impossible"] is not None
+        assert edgeless["weight"]["witness"] is None
+        assert edgeless["weight"]["identically_singular"]
+        assert summary["partial"] == 0
+
+
+class TestFactorTableRelease:
+    @pytest.mark.parametrize("command, theorem", [
+        ("analyze", None), ("factors", None), ("verify", "t21"), ("verify", "r11")])
+    def test_run_leaves_no_factor_table(self, command, theorem):
+        # run() holds all its input graphs until it returns; each factor
+        # table goes with its record
+        graphs = [complete(5), cycle(6), path(4), complete(6)]
+        run(graphs, RunConfig(command=command, theorem=theorem, timings=True))
+        assert all("_factor_table" not in vars(g) for g in graphs)
+
+
 class TestSkipRecords:
     @pytest.mark.parametrize(
         "command, theorem", [("analyze", None), ("verify", "t31"), ("factors", None),
@@ -155,12 +229,7 @@ class TestZsfCommand:
         # 300 4-cycles in a chain, each sharing a vertex with the next: 300
         # free edges, so a search recursing once per free edge would overrun
         # a recursion limit 100 frames above the current depth
-        k = 300
-        edges = []
-        for c in range(k):
-            a = 3 * c
-            edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a + 3), (a, a + 3)]
-        g = Graph(3 * k + 1, tuple(edges))
+        g = chain_of_4_cycles(300)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 100)
         try:
