@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import json
 import subprocess
@@ -35,6 +36,18 @@ def run_cli(args, stdin=""):
     return subprocess.run(
         [sys.executable, "-m", "signrank.cli"] + args,
         input=stdin, capture_output=True, text=True)
+
+
+def _load_report_digests():
+    path = DATA.parent.parent / "scripts" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+report_digests = _load_report_digests()
+DIGESTS = json.loads(report_digests.DIGEST_FILE.read_text())
 
 
 def parse_report(text):
@@ -295,6 +308,14 @@ class TestDeterminism:
         assert [r["g6"] for r in records] == [C4_G6, P3_G6, K3_G6]
 
 
+class TestReportDigests:
+    # analyze on graphs_le7.g6 is checked by TestCli.test_analyze_whole_corpus
+    @pytest.mark.parametrize("corpus,variant", [
+        case for case in report_digests.cases() if case != ("graphs_le7.g6", "analyze")])
+    def test_report_bytes_and_exit_code(self, corpus, variant):
+        assert report_digests.entry(corpus, variant) == DIGESTS[corpus][variant]
+
+
 class TestWitnessesSelfContained:
     def test_reverify_from_report_alone(self):
         graphs = load_corpus(CORPUS, "graph6")
@@ -440,6 +461,7 @@ class TestCli:
         _, records, summary = parse_report(res.stdout)
         assert summary == {"records": 1253, "pass": 0, "fail": 0, "skip": 0, "partial": 0}
         assert len(records) == 1253
+        assert report_digests.digest(res.stdout) == DIGESTS["graphs_le7.g6"]["analyze"]["sha256"]
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "report.jsonl"
