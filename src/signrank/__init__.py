@@ -2,6 +2,7 @@
 matrices: decide and construct edge signs giving full rank and nowhere-zero
 integer weights giving rank deficiency, with {1,2}-factor enumeration,
 symbolic determinant polynomials and zero-sum flows as the machinery.
+Matrices are plain lists of integer rows.
 """
 
 __version__ = "0.1.0"
@@ -24,7 +25,7 @@ from .errors import (
     ResourceCapError,
     SignRankError,
 )
-from .exact_linalg import IntMatrix, adjacency_matrix, det, mat_vec, matrix_at_point, permanent, rank
+from .exact_linalg import adjacency_matrix, det, mat_vec, matrix_at_point, permanent, rank
 from .factors import (
     Factor,
     count_factors,
@@ -54,7 +55,6 @@ from .sign_search import (
 from .weight_search import WeightSearchOutcome, find_singular_weight, verify_weight
 from .zero_sum_flow import (
     FlowObstruction,
-    FlowProblem,
     find_zero_sum_flow,
     flow_exists_nonbipartite_test,
     flow_obstruction,

@@ -1,49 +1,26 @@
 """Exact integer matrix arithmetic: determinant, rank and permanent without
 floating point, so "full rank" and "singular" are decided with certainty.
 
-Determinant and rank use fraction-free (Bareiss) elimination: every
-intermediate entry is an exact minor of the input, kept integral by exact
-division through the previous pivot.  Python integers are arbitrary
-precision, so nothing overflows.
+A matrix is a sequence of integer rows (adjacency_matrix and
+matrix_at_point build lists of lists); no function here mutates the rows it
+is given.  Determinant and rank share one fraction-free (Bareiss)
+elimination: every intermediate entry is an exact minor of the input, kept
+integral by exact division through the previous pivot.  Python integers are
+arbitrary precision, so nothing overflows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .assignments import EdgeAssignment
 from .errors import InvalidAssignmentError
 from .graph_core import Graph
 
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix, row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise ValueError("column count mismatch")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        tup = tuple(tuple(int(x) for x in r) for r in rows)
-        if cols is None:
-            cols = len(tup[0]) if tup else 0
-        return cls(len(tup), cols, tup)
-
-    def __getitem__(self, rc: tuple[int, int]) -> int:
-        return self.entries[rc[0]][rc[1]]
+Rows = Sequence[Sequence[int]]
 
 
-def adjacency_matrix(g: Graph, w: Union[EdgeAssignment, Sequence[int]]) -> IntMatrix:
+def adjacency_matrix(g: Graph, w: Union[EdgeAssignment, Sequence[int]]) -> list[list[int]]:
     """Weighted adjacency matrix of g: symmetric, zero diagonal, entry (i,j)
     equal to the weight of edge ij.  Every edge needs a nonzero weight."""
     values = w.values if isinstance(w, EdgeAssignment) else tuple(int(x) for x in w)
@@ -54,7 +31,7 @@ def adjacency_matrix(g: Graph, w: Union[EdgeAssignment, Sequence[int]]) -> IntMa
     return matrix_at_point(g, values)
 
 
-def matrix_at_point(g: Graph, values: Sequence[int]) -> IntMatrix:
+def matrix_at_point(g: Graph, values: Sequence[int]) -> list[list[int]]:
     """Symbolic adjacency matrix evaluated at a point; zeros are allowed here
     (used for generic polynomial evaluation, not for weighted graphs)."""
     if len(values) != g.m:
@@ -62,46 +39,21 @@ def matrix_at_point(g: Graph, values: Sequence[int]) -> IntMatrix:
     a = [[0] * g.n for _ in range(g.n)]
     for idx, (u, v) in enumerate(g.edges):
         a[u][v] = a[v][u] = int(values[idx])
-    return IntMatrix.from_rows(a, cols=g.n)
+    return a
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free elimination.  det of 0x0 is 1."""
-    if m.rows != m.cols:
-        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            row_k = a[k]
-            f = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def rank(m: IntMatrix) -> int:
-    """Rank over the rationals by fraction-free elimination with full
-    pivoting (first nonzero entry in the remaining block, row-major scan)."""
-    a = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
+def _eliminate(m: Rows) -> tuple[int, int, int]:
+    """Fraction-free elimination of a copy of m, pivoting in each column on
+    the first nonzero entry at or below the current row.  Returns (rank,
+    sign of the row swaps, last pivot).  When the rank equals the row count
+    of a square matrix, sign * last pivot is its determinant."""
+    a = [list(row) for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    if any(len(row) != ncols for row in a):
+        raise ValueError("matrix rows differ in length")
     r = 0
+    sign = 1
     prev = 1
     for c in range(ncols):
         pivot_row = -1
@@ -111,36 +63,55 @@ def rank(m: IntMatrix) -> int:
                 break
         if pivot_row < 0:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][c]
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            sign = -sign
+        row_r = a[r]
+        pivot = row_r[c]
         for i in range(r + 1, nrows):
             row_i = a[i]
             f = row_i[c]
             for j in range(c + 1, ncols):
-                row_i[j] = (row_i[j] * pivot - f * a[r][j]) // prev
+                row_i[j] = (row_i[j] * pivot - f * row_r[j]) // prev
             row_i[c] = 0
         prev = pivot
         r += 1
         if r == nrows:
             break
-    return r
+    return r, sign, prev
 
 
-def permanent(m: IntMatrix) -> int:
+def _order(m: Rows, what: str) -> int:
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError(f"{what} needs a square matrix")
+    return n
+
+
+def det(m: Rows) -> int:
+    """Exact determinant.  det of 0x0 is 1."""
+    n = _order(m, "determinant")
+    r, sign, last_pivot = _eliminate(m)
+    return sign * last_pivot if r == n else 0
+
+
+def rank(m: Rows) -> int:
+    """Rank over the rationals."""
+    return _eliminate(m)[0]
+
+
+def permanent(m: Rows) -> int:
     """Exact permanent via Ryser's inclusion-exclusion formula."""
-    if m.rows != m.cols:
-        raise ValueError(f"permanent needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
+    n = _order(m, "permanent")
     if n == 0:
         return 1
-    rows = m.entries
     total = 0
     for mask in range(1, 1 << n):
         cols = [j for j in range(n) if mask >> j & 1]
         prod = 1
         for i in range(n):
             s = 0
-            row = rows[i]
+            row = m[i]
             for j in cols:
                 s += row[j]
             prod *= s
@@ -151,7 +122,7 @@ def permanent(m: IntMatrix) -> int:
     return total if n % 2 == 0 else -total
 
 
-def mat_vec(m: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:
-    if len(vec) != m.cols:
+def mat_vec(m: Rows, vec: Sequence[int]) -> tuple[int, ...]:
+    if any(len(row) != len(vec) for row in m):
         raise ValueError("vector length must equal column count")
-    return tuple(sum(row[j] * vec[j] for j in range(m.cols)) for row in m.entries)
+    return tuple(sum(x * y for x, y in zip(row, vec)) for row in m)

@@ -76,7 +76,6 @@ class Caps:
 
     sign_exhaustive_m: int = 20
     factor_n: int = 12
-    detpoly_n: int = 10
     minrank_m: int = 20
     flow_nodes: int = 2_000_000
 

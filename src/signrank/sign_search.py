@@ -138,30 +138,27 @@ def max_rank_over_signs(
 ) -> int:
     """Exact maximum of rank over all signs.
 
-    Exhaustive over switching classes when m fits the cap.  Beyond the cap,
-    falls back to a randomized lower bound that must meet the perrank upper
-    bound; raises ResourceCapError when it cannot be pinned down."""
-    if g.m <= exhaustive_m_cap:
-        best = 0
-        for values in iter_sign_representatives(g):
-            r = rank(adjacency_matrix(g, values))
-            if r > best:
-                best = r
-                if best == g.n:
-                    break
-        return best
+    Rank never exceeds perrank (the term rank), so both scans stop at the
+    first sign whose rank reaches it.  Exhaustive over switching classes
+    when m fits the cap.  Beyond the cap, falls back to a randomized lower
+    bound that must meet the perrank upper bound; raises ResourceCapError
+    when it cannot be pinned down."""
     upper = perrank_fast(g)
-    rng = random.Random(seed)
+    exhaustive = g.m <= exhaustive_m_cap
+    if exhaustive:
+        signs = iter_sign_representatives(g)
+    else:
+        rng = random.Random(seed)
+        signs = (tuple(rng.choice((1, -1)) for _ in range(g.m)) for _ in range(64 * g.m))
     best = 0
-    for _ in range(64 * g.m):
-        values = tuple(rng.choice((1, -1)) for _ in range(g.m))
-        r = rank(adjacency_matrix(g, values))
-        if r > best:
-            best = r
-            if best == upper:
-                return best
-    raise ResourceCapError(
-        f"m={g.m} exceeds the exhaustive cap and sampling reached only rank {best} < perrank {upper}")
+    for values in signs:
+        best = max(best, rank(adjacency_matrix(g, values)))
+        if best == upper:
+            return best
+    if not exhaustive:
+        raise ResourceCapError(
+            f"m={g.m} exceeds the exhaustive cap and sampling reached only rank {best} < perrank {upper}")
+    return best
 
 
 def min_rank_over_signs(

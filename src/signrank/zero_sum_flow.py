@@ -31,25 +31,12 @@ zero-sum 6-flows, and any graph with a zero-sum flow has a zero-sum 12-flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
 from .assignments import EdgeAssignment
 from .errors import InvalidAssignmentError, PreconditionError, ResourceCapError
 from .graph_core import Graph, bipartition, components, induced_subgraph, spanning_forest
-
-
-@dataclass(frozen=True)
-class FlowProblem:
-    """A graph together with the value bound k (values in +-1..+-(k-1))."""
-
-    graph: Graph
-    k: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise PreconditionError("flow bound k must be >= 2")
 
 
 class FlowObstruction(NamedTuple):

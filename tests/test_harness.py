@@ -359,8 +359,9 @@ class TestParseCaps:
         assert caps.sign_exhaustive_m == 24 and caps.factor_n == 9
 
     def test_unknown_key(self):
-        with pytest.raises(ValueError):
-            parse_caps("frobnicate=1")
+        for text in ("frobnicate=1", "detpoly_n=5"):
+            with pytest.raises(ValueError):
+                parse_caps(text)
 
     @pytest.mark.parametrize("text", ["factor_n=-1", "flow_nodes=-5", "minrank_m=x"])
     def test_bad_value(self, text):

@@ -8,7 +8,6 @@ from signrank.exact_linalg import adjacency_matrix, mat_vec
 from signrank.graph_core import Graph, bipartition, components, cut_edges, induced_subgraph
 from signrank.zero_sum_flow import (
     FlowObstruction,
-    FlowProblem,
     find_zero_sum_flow,
     flow_exists_nonbipartite_test,
     flow_obstruction,
@@ -204,10 +203,3 @@ class TestVerifyFlow:
     def test_zero_value_invalid(self):
         with pytest.raises(InvalidAssignmentError):
             EdgeAssignment((1, 0, 1, -1), "flow")
-
-
-class TestFlowProblem:
-    def test_bound_validated(self):
-        with pytest.raises(PreconditionError):
-            FlowProblem(cycle(4), 1)
-        assert FlowProblem(cycle(4), 6).k == 6
