@@ -33,14 +33,13 @@ from signrank.harness import THEOREM_TAGS, RunConfig, exit_code, load_corpus, ru
 DATA_DIR = ROOT / "tests" / "data"
 DIGEST_FILE = DATA_DIR / "report_digests.json"
 CORPORA = ("graphs_le7.g6", "bipartite_2ec_n8.g6")
-VARIANTS = tuple(
-    ["analyze", "factors", "minrank", "perrank", "signfind", "weightfind", "zsf"]
-    + [f"verify {tag}" for tag in THEOREM_TAGS])
+VARIANTS = ("analyze", "factors", "minrank", "perrank", "signfind", "weightfind", "zsf") \
+    + tuple(f"verify {tag}" for tag in THEOREM_TAGS)
 LEFT_OUT = frozenset((("graphs_le7.g6", "minrank"),))
 
 
 def cases() -> list[tuple[str, str]]:
-    """(corpus, variant) pairs with a digest, in file order."""
+    """The (corpus, variant) pairs that have a digest."""
     return [(c, v) for c in CORPORA for v in VARIANTS if (c, v) not in LEFT_OUT]
 
 
