@@ -4,9 +4,9 @@ Subcommands: analyze, verify, minrank, factors, perrank, signfind,
 weightfind, zsf.  Input is a file path or "-" for standard input, holding
 one graph per line (graph6, the default) or a single edge-list graph
 (--format edgelist).  Exit codes: 0 ok, 1 verification failure, 2 usage,
-read or parse error, 3 resource cap hit or answer missing (skipped records,
-or records with a skipped block or an inconclusive weight search), unless
---allow-skips.
+read, parse or write error, 3 resource cap hit or answer missing (skipped
+records, or records with a skipped block or an inconclusive weight search),
+unless --allow-skips.
 """
 
 from __future__ import annotations
@@ -27,14 +27,16 @@ _THEOREM_HELP = (
 )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -42,11 +44,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="input file, or - for stdin (default)")
     p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--bound", type=int, default=6,
-                   help="flow bound k for zsf/analyze")
+    p.add_argument("--bound", type=_int_at_least(2), default=6,
+                   help="flow bound k >= 2 for zsf/analyze")
     p.add_argument("--method", choices=("randomized", "exhaustive"),
                    default="randomized", help="sign search method")
-    p.add_argument("--jobs", type=_positive_int, default=1,
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes (at most one per graph and per CPU)")
     p.add_argument("--caps", default="",
                    help="override caps, e.g. sign_exhaustive_m=24,factor_n=10")
@@ -114,11 +116,15 @@ def main(argv: list[str] | None = None) -> int:
     except SignRankError as exc:
         print(f"signrank: {exc}", file=sys.stderr)
         return 3
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
+    try:
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(report)
+        else:
+            sys.stdout.write(report)
+    except OSError as exc:
+        print(f"signrank: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return exit_code(summary, allow_skips=args.allow_skips)
 
 

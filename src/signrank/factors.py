@@ -7,17 +7,18 @@ and is traversed toward its smaller neighbor; the factor's cycle list and
 K2 list are index-sorted.
 
 One subset DP over vertex sets (_FactorTable), built once per graph and
-kept with it until release_table, answers everything: t(g), the
-nonzero-transversal count, has_factor and count_factors_at_most read its
-counts without listing a factor; perrank_bruteforce reads it on induced
+kept with it until release_table, answers every count and listing: t(g),
+the nonzero-transversal count and count_factors_at_most read its counts
+without listing a factor; perrank_bruteforce reads it on induced
 subgraphs; and iter_factors lists the factors (for listings, the
 determinant polynomial and edge membership) by walking the same table,
 taking only steps that lead to a factor.
 
 The table's time and memory grow exponentially with n whatever is asked of
 it: up to 3^n DP steps, plus a path table per vertex that holds every
-simple path from it.  Every function here but perrank_fast is meant for
-n <= about 12, the harness's factor_n cap.
+simple path from it.  Every function here but perrank_fast and has_factor
+(one matching of the bipartite double cover, in polynomial time) is meant
+for n <= about 12, the harness's factor_n cap.
 
 Conventions: the empty graph on 0 vertices has exactly one (empty) factor;
 an edgeless graph on n >= 1 vertices has none.  perrank is the order of the
@@ -124,7 +125,9 @@ def count_factors_at_most(g: Graph, limit: int) -> int:
 
 
 def has_factor(g: Graph) -> bool:
-    return _table(g).f((1 << g.n) - 1) > 0
+    """Whether g has a {1,2}-factor: a perfect matching of the bipartite
+    double cover (see perrank_fast), found without the factor table."""
+    return perrank_fast(g) == g.n
 
 
 def count_nonzero_transversals(g: Graph) -> int:

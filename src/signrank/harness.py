@@ -40,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
@@ -50,7 +51,6 @@ from .factors import (
     count_factors,
     count_nonzero_transversals,
     enumerate_factors,
-    has_factor,
     perrank_fast,
     release_table,
 )
@@ -65,9 +65,6 @@ from .graph_core import (
 from .sign_search import find_fullrank_sign, max_rank_over_signs, min_rank_over_signs
 from .weight_search import find_singular_weight, verify_weight
 from .zero_sum_flow import find_zero_sum_flow, flow_obstruction, verify_flow
-
-THEOREM_TAGS = ("t21", "c22", "t31", "r11", "r32", "flows")
-
 
 @dataclass(frozen=True)
 class Caps:
@@ -162,39 +159,33 @@ def _weight_outcome_dict(outcome) -> dict:
     }
 
 
-def analyze_record(index: int, g: Graph, cfg: RunConfig) -> dict:
-    rec = _base_record(index, g)
-    caps = cfg.caps
-    seed = graph_seed(cfg.seed, index)
-    rec["t"] = count_factors(g)
-    rec["perrank"] = perrank_fast(g)
-    rec["full_perrank"] = rec["perrank"] == g.n
+# Each command maps (graph, its seed, config) to the fields of its record;
+# _record adds the rest.
+
+
+def _analyze(g: Graph, seed: int, cfg: RunConfig) -> dict:
+    rec = {"t": count_factors(g), **_perrank(g, seed, cfg)}
     try:
-        sign = find_fullrank_sign(
-            g, method=cfg.method, seed=seed, exhaustive_m_cap=caps.sign_exhaustive_m)
-        rec["sign"] = _sign_outcome_dict(sign)
+        rec.update(_signfind(g, seed, cfg))
     except ResourceCapError as exc:
         rec["sign"] = {"skipped": str(exc)}
-    weight = find_singular_weight(g, seed=seed)
-    rec["weight"] = _weight_outcome_dict(weight)
-    k = max(cfg.bound, 2)
+    rec.update(_weightfind(g, seed, cfg))
     try:
-        rec["flow"] = _flow_dict(g, k, caps.flow_nodes)
+        rec["flow"] = _zsf(g, seed, cfg)
     except ResourceCapError as exc:
-        rec["flow"] = {"k": k, "values": None, "basis": None, "skipped": str(exc)}
-    rec["status"] = "ok"
+        rec["flow"] = {"k": cfg.bound, "values": None, "basis": None, "skipped": str(exc)}
     return rec
 
 
-def _flow_dict(g: Graph, k: int, node_budget: int) -> dict:
+def _zsf(g: Graph, seed: int, cfg: RunConfig) -> dict:
     """The flow fields of analyze and zsf records: the values of a flow
     with bound k, or the basis of its absence, "no_flow_exists" (with the
     obstruction that proves it) or "exhausted" (the bounded search found
-    none).  Raises ResourceCapError when the search exceeds node_budget."""
-    flow = find_zero_sum_flow(g, k, node_budget=node_budget)
+    none).  Raises ResourceCapError when the search exceeds its node cap."""
+    k = cfg.bound
+    flow = find_zero_sum_flow(g, k, node_budget=cfg.caps.flow_nodes)
     if flow is not None:
         return {"k": k, "values": list(flow.values), "basis": None}
-    # rerun the exact test only on the way out, for the basis of the absence
     obstruction = flow_obstruction(g)
     if obstruction is None:
         return {"k": k, "values": None, "basis": "exhausted"}
@@ -202,23 +193,44 @@ def _flow_dict(g: Graph, k: int, node_budget: int) -> dict:
             "obstruction": obstruction._asdict()}
 
 
-def check_record(index: int, g: Graph, cfg: RunConfig) -> dict:
-    rec = _base_record(index, g)
-    seed = graph_seed(cfg.seed, index)
-    try:
-        checker = _CHECKERS[cfg.theorem]
-    except KeyError:
-        raise ValueError(f"unknown theorem tag {cfg.theorem!r}") from None
-    ok, detail = checker(g, seed, cfg)
-    rec["check"] = detail
-    rec["status"] = "pass" if ok else "fail"
-    return rec
+def _signfind(g: Graph, seed: int, cfg: RunConfig) -> dict:
+    outcome = find_fullrank_sign(
+        g, method=cfg.method, seed=seed, exhaustive_m_cap=cfg.caps.sign_exhaustive_m)
+    return {"sign": _sign_outcome_dict(outcome)}
+
+
+def _weightfind(g: Graph, seed: int, cfg: RunConfig) -> dict:
+    return {"weight": _weight_outcome_dict(find_singular_weight(g, seed=seed))}
+
+
+def _minrank(g: Graph, seed: int, cfg: RunConfig) -> dict:
+    value, witness = min_rank_over_signs(g, exhaustive_m_cap=cfg.caps.minrank_m)
+    return {"min_rank": value, "witness": list(witness.values)}
+
+
+def _factors(g: Graph, seed: int, cfg: RunConfig) -> dict:
+    facs = enumerate_factors(g)
+    return {"t": len(facs),
+            "factors": [{"k2": list(f.k2_edges), "cycles": [list(c) for c in f.cycles]}
+                        for f in facs]}
+
+
+def _perrank(g: Graph, seed: int, cfg: RunConfig) -> dict:
+    pr = perrank_fast(g)
+    return {"perrank": pr, "full_perrank": pr == g.n}
+
+
+def _verify(g: Graph, seed: int, cfg: RunConfig) -> dict:
+    ok, detail = _CHECKERS[cfg.theorem](g, seed, cfg)
+    return {"check": detail, "status": "pass" if ok else "fail"}
 
 
 def _check_t21(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
     outcome = find_fullrank_sign(
         g, method="exhaustive", seed=seed, exhaustive_m_cap=cfg.caps.sign_exhaustive_m)
-    factor = has_factor(g)
+    # the factor side comes from the table, not from has_factor, which is
+    # the same double-cover matching as full_perrank
+    factor = count_factors(g) > 0
     full = perrank_fast(g) == g.n
     found = outcome.witness is not None
     ok = (found == factor == full) and (found or outcome.certified_none)
@@ -291,7 +303,7 @@ def _check_flows(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
     return ok, detail
 
 
-_CHECKERS: dict[str, Callable] = {
+_CHECKERS: dict[str, Callable[[Graph, int, RunConfig], tuple[bool, dict]]] = {
     "t21": _check_t21,
     "c22": _check_c22,
     "t31": _check_t31,
@@ -299,66 +311,17 @@ _CHECKERS: dict[str, Callable] = {
     "r32": _check_r32,
     "flows": _check_flows,
 }
+THEOREM_TAGS = tuple(_CHECKERS)
 
-
-def minrank_record(index: int, g: Graph, cfg: RunConfig) -> dict:
-    rec = _base_record(index, g)
-    value, witness = min_rank_over_signs(g, exhaustive_m_cap=cfg.caps.minrank_m)
-    rec.update(status="ok", min_rank=value, witness=list(witness.values))
-    return rec
-
-
-def factors_record(index: int, g: Graph, cfg: RunConfig) -> dict:
-    rec = _base_record(index, g)
-    facs = enumerate_factors(g)
-    rec.update(
-        status="ok",
-        t=len(facs),
-        factors=[{"k2": list(f.k2_edges), "cycles": [list(c) for c in f.cycles]}
-                 for f in facs],
-    )
-    return rec
-
-
-def perrank_record(index: int, g: Graph, cfg: RunConfig) -> dict:
-    rec = _base_record(index, g)
-    pr = perrank_fast(g)
-    rec.update(status="ok", perrank=pr, full_perrank=pr == g.n)
-    return rec
-
-
-def signfind_record(index: int, g: Graph, cfg: RunConfig) -> dict:
-    rec = _base_record(index, g)
-    outcome = find_fullrank_sign(
-        g, method=cfg.method, seed=graph_seed(cfg.seed, index),
-        exhaustive_m_cap=cfg.caps.sign_exhaustive_m)
-    rec.update(status="ok", sign=_sign_outcome_dict(outcome))
-    return rec
-
-
-def weightfind_record(index: int, g: Graph, cfg: RunConfig) -> dict:
-    rec = _base_record(index, g)
-    outcome = find_singular_weight(g, seed=graph_seed(cfg.seed, index))
-    rec.update(status="ok", weight=_weight_outcome_dict(outcome))
-    return rec
-
-
-def zsf_record(index: int, g: Graph, cfg: RunConfig) -> dict:
-    rec = _base_record(index, g)
-    flow = _flow_dict(g, max(cfg.bound, 2), cfg.caps.flow_nodes)
-    rec.update(status="ok", **flow)
-    return rec
-
-
-_RECORD_FN: dict[str, Callable[[int, Graph, RunConfig], dict]] = {
-    "analyze": analyze_record,
-    "verify": check_record,
-    "minrank": minrank_record,
-    "factors": factors_record,
-    "perrank": perrank_record,
-    "signfind": signfind_record,
-    "weightfind": weightfind_record,
-    "zsf": zsf_record,
+_COMMANDS: dict[str, Callable[[Graph, int, RunConfig], dict]] = {
+    "analyze": _analyze,
+    "verify": _verify,
+    "minrank": _minrank,
+    "factors": _factors,
+    "perrank": _perrank,
+    "signfind": _signfind,
+    "weightfind": _weightfind,
+    "zsf": _zsf,
 }
 
 # commands whose records are skipped for graphs above the factor_n cap
@@ -370,49 +333,43 @@ _CAP_SKIPPED = frozenset(("verify", "minrank", "signfind", "zsf"))
 
 def _worker(args: tuple[str, int, str, RunConfig]) -> dict:
     command, index, g6, cfg = args
-    g = parse_graph6(g6)
-    return _with_timing(command, index, g, cfg)
-
-
-def _with_timing(command: str, index: int, g: Graph, cfg: RunConfig) -> dict:
-    if not cfg.timings:
-        return _record(command, index, g, cfg)
-    import time
-
-    start = time.perf_counter()
-    rec = _record(command, index, g, cfg)
-    rec["ms"] = round((time.perf_counter() - start) * 1000, 3)
-    return rec
+    return _record(command, index, parse_graph6(g6), cfg)
 
 
 def _record(command: str, index: int, g: Graph, cfg: RunConfig) -> dict:
-    """The command's record for one graph, or a "skip" record when the graph
-    exceeds factor_n or the search hits a cap (for the commands above)."""
-    if command in _FACTOR_CAPPED and g.n > cfg.caps.factor_n:
-        return _skip_record(index, g, f"n={g.n} exceeds factor cap {cfg.caps.factor_n}")
+    """One graph's record: the base fields, status "ok" (or the pass/fail
+    of a verify check) and the command's fields; or status "skip" with a
+    reason when the graph exceeds factor_n or the search hits a cap (for
+    the commands above).  "ms" is added under cfg.timings."""
+    start = time.perf_counter()
+    rec = _base_record(index, g)
     try:
-        return _RECORD_FN[command](index, g, cfg)
+        if command in _FACTOR_CAPPED and g.n > cfg.caps.factor_n:
+            rec.update(status="skip", reason=f"n={g.n} exceeds factor cap {cfg.caps.factor_n}")
+        else:
+            rec.update({"status": "ok", **_COMMANDS[command](g, graph_seed(cfg.seed, index), cfg)})
     except ResourceCapError as exc:
         if command not in _CAP_SKIPPED:
             raise
-        return _skip_record(index, g, str(exc))
+        rec.update(status="skip", reason=str(exc))
     finally:
         # run() holds every input graph until it returns: free the factor
         # table with the record, not with the graph
         release_table(g)
-
-
-def _skip_record(index: int, g: Graph, reason: str) -> dict:
-    return {**_base_record(index, g), "status": "skip", "reason": reason}
+    if cfg.timings:
+        rec["ms"] = round((time.perf_counter() - start) * 1000, 3)
+    return rec
 
 
 def run(graphs: Iterable[Graph], cfg: RunConfig) -> tuple[str, dict]:
     """Run one command over a corpus.  Returns (report_text, summary)."""
     graphs = list(graphs)
-    if cfg.command not in _RECORD_FN:
+    if cfg.command not in _COMMANDS:
         raise ValueError(f"unknown command {cfg.command!r}")
     if cfg.command == "verify" and cfg.theorem not in THEOREM_TAGS:
         raise ValueError(f"unknown theorem tag {cfg.theorem!r}")
+    if cfg.bound < 2:
+        raise ValueError(f"flow bound must be at least 2, got {cfg.bound}")
     workers = pool_size(cfg.jobs, len(graphs))
     if workers > 1:
         # imported here: a single-process run does not pay multiprocessing's
@@ -423,7 +380,7 @@ def run(graphs: Iterable[Graph], cfg: RunConfig) -> tuple[str, dict]:
         with Pool(workers) as pool:
             records = pool.map(_worker, tasks)
     else:
-        records = [_with_timing(cfg.command, i, g, cfg) for i, g in enumerate(graphs)]
+        records = [_record(cfg.command, i, g, cfg) for i, g in enumerate(graphs)]
     summary = {
         "records": len(records),
         "pass": sum(1 for r in records if r.get("status") == "pass"),

@@ -100,17 +100,11 @@ def find_singular_weight(g: Graph, seed: int = 0) -> WeightSearchOutcome:
         )
         return WeightSearchOutcome(None, None, reason)
 
-    if len(components(g)) == 1:
-        flow_values = _flow_attempt(g)
-        if flow_values is not None:
-            _check_witness(g, flow_values)
-            return WeightSearchOutcome(
-                EdgeAssignment(flow_values, "weight"), "flow", None)
-    values = _singular_values(g, random.Random(seed), try_flow=False)
+    values, route = _singular_values(g, random.Random(seed))
     if values is None:
         return WeightSearchOutcome(None, None, None)
     _check_witness(g, values)
-    return WeightSearchOutcome(EdgeAssignment(values, "weight"), "algebraic", None)
+    return WeightSearchOutcome(EdgeAssignment(values, "weight"), route, None)
 
 
 def _check_witness(g: Graph, values: tuple[int, ...]) -> None:
@@ -141,25 +135,27 @@ def _flow_attempt(g: Graph) -> tuple[int, ...] | None:
 
 
 def _singular_values(
-    g: Graph, rng: random.Random, try_flow: bool = True
-) -> tuple[int, ...] | None:
-    """Witness values for a graph with at least two factors, by component
-    split, flow, dropping unused edges and a linear-part root hunt."""
+    g: Graph, rng: random.Random
+) -> tuple[tuple[int, ...] | None, str | None]:
+    """(values, route) of a witness for a graph with at least two factors,
+    or (None, None), by component split, flow, dropping unused edges and a
+    linear-part root hunt.  The route is "flow" only when g is connected
+    and its own flow is the witness; anything found by recursing is
+    "algebraic"."""
     comps = components(g)
     if len(comps) > 1:
         for comp in comps:
             sub, _, emap = induced_subgraph(g, comp)
             if count_factors_at_most(sub, 2) < 2:
                 continue
-            rec = _singular_values(sub, rng)
+            rec, _ = _singular_values(sub, rng)
             if rec is not None:
-                return _lift(g.m, emap, rec)
-        return None
+                return _lift(g.m, emap, rec), "algebraic"
+        return None, None
 
-    if try_flow:
-        flow_values = _flow_attempt(g)
-        if flow_values is not None:
-            return flow_values
+    flow_values = _flow_attempt(g)
+    if flow_values is not None:
+        return flow_values, "flow"
 
     # edges in no factor do not occur in the determinant polynomial: drop
     # them and solve the rest.  No separate split is needed for an edge uv
@@ -171,8 +167,8 @@ def _singular_values(
     unused = [i for i in range(g.m) if not prof.present(i)]
     if unused:
         sub, emap = delete_edges(g, unused)
-        rec = _singular_values(sub, rng)
-        return None if rec is None else _lift(g.m, emap, rec)
+        rec, _ = _singular_values(sub, rng)
+        return (None, None) if rec is None else (_lift(g.m, emap, rec), "algebraic")
 
     # Edge i below exists whenever g has no zero-sum flow.  Each factor F
     # gives x_F (2 on its K2 edges, 1 on its cycle edges) with
@@ -192,8 +188,8 @@ def _singular_values(
                 if j != i and not prof.in_all[j] and not prof.in_k2[j]:
                     sol = _hunt_linear_part_root(g, i, j, rng)
                     if sol is not None:
-                        return sol
-    return None
+                        return sol, "algebraic"
+    return None, None
 
 
 def _lift(m: int, emap: tuple[int, ...], rec: tuple[int, ...]) -> tuple[int, ...]:

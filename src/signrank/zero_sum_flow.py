@@ -50,9 +50,16 @@ class FlowObstruction(NamedTuple):
 
 def flow_obstruction(g: Graph) -> FlowObstruction | None:
     """None when g has a zero-sum flow (of some bound), else an obstruction
-    that proves it has none.
+    that proves it has none.  Kept in the graph's instance dict, so callers
+    on one graph (frozen, so it cannot go stale) share one elimination."""
+    cache = vars(g)
+    if "_flow_obstruction" not in cache:
+        cache["_flow_obstruction"] = _eliminate(g)
+    return cache["_flow_obstruction"]
 
-    Fraction-free Gauss-Jordan elimination over the integer rows [B | I]
+
+def _eliminate(g: Graph) -> FlowObstruction | None:
+    """Fraction-free Gauss-Jordan elimination over the integer rows [B | I]
     (each row is y^T B followed by y^T for its own y), every combined row
     divided by the gcd of its entries.  In the reduced form, e_i lies in the
     row space exactly when the row whose pivot is column i has no other

@@ -10,7 +10,7 @@ from signrank.assignments import EdgeAssignment
 from signrank.errors import GraphParseError
 from signrank.exact_linalg import adjacency_matrix, det
 from signrank.graph_core import Graph, encode_graph6, parse_graph6
-from signrank import cli, harness
+from signrank import cli, harness, zero_sum_flow
 from signrank.harness import (
     Caps,
     RunConfig,
@@ -211,6 +211,49 @@ class TestFactorTableRelease:
         assert all("_factor_table" not in vars(g) for g in graphs)
 
 
+class TestRecordEnvelope:
+    BASE = {"record", "id", "g6", "n", "m", "status"}
+
+    @pytest.mark.parametrize("command, theorem", [
+        *[(c, None) for c in ("analyze", "minrank", "factors", "perrank",
+                              "signfind", "weightfind", "zsf")],
+        *[("verify", tag) for tag in harness.THEOREM_TAGS]])
+    @pytest.mark.parametrize("caps", [Caps(), Caps(factor_n=3)])
+    def test_one_envelope(self, command, theorem, caps):
+        def record(timings):
+            cfg = RunConfig(command=command, theorem=theorem, timings=timings, caps=caps)
+            _, (rec,), _ = parse_report(run([cycle(4)], cfg)[0])
+            return rec
+
+        timed, plain = record(True), record(False)
+        assert isinstance(timed.pop("ms"), float) and timed == plain
+        assert self.BASE <= plain.keys()
+        assert ("reason" in plain) == (plain["status"] == "skip")
+        if plain["status"] == "skip":
+            assert plain.keys() == self.BASE | {"reason"}
+
+
+class TestFlowEliminations:
+    def test_one_elimination_per_graph(self, monkeypatch):
+        # analyze and verify flows ask for the flow answer at several gates
+        # (the weight search, the flow block, the flows check); a graph with
+        # a flow and a connected flow-free graph with t >= 2 (K4 minus an
+        # edge) are each eliminated once
+        eliminated = []
+        original = zero_sum_flow._eliminate
+
+        def counting(g):
+            eliminated.append(g)
+            return original(g)
+
+        monkeypatch.setattr(zero_sum_flow, "_eliminate", counting)
+        graphs = [cycle(4), Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))]
+        run(graphs, RunConfig(command="analyze"))
+        run(graphs, RunConfig(command="verify", theorem="flows"))
+        assert any(g is graphs[1] for g in eliminated)
+        assert len({id(g) for g in eliminated}) == len(eliminated)
+
+
 class TestSkipRecords:
     @pytest.mark.parametrize(
         "command, theorem", [("analyze", None), ("verify", "t31"), ("factors", None),
@@ -264,6 +307,11 @@ class TestVerifyCommand:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
             run([cycle(4)], RunConfig(command="verify", theorem="t99"))
+
+    @pytest.mark.parametrize("bound", [1, -3])
+    def test_bound_below_two(self, bound):
+        with pytest.raises(ValueError, match="bound"):
+            run([cycle(4)], RunConfig(command="zsf", bound=bound))
 
     @pytest.mark.parametrize("theorem", ["t21", "r11"])
     def test_full_n5_corpus_all_pass(self, theorem, corpus_le5):
@@ -469,6 +517,16 @@ class TestCli:
         res = run_cli(["analyze", "-", "--output", str(out)], stdin=C4_G6 + "\n")
         assert res.returncode == 0
         assert out.read_text().startswith("{")
+
+    def test_unwritable_output_exit_2(self, tmp_path):
+        res = run_cli(["perrank", "-", "--output", str(tmp_path)], stdin=C4_G6 + "\n")
+        assert res.returncode == 2
+        assert "cannot write output" in res.stderr and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("bound", ["1", "-3"])
+    def test_bound_below_two_rejected(self, bound):
+        res = run_cli(["zsf", "-", "--bound", bound], stdin=C4_G6 + "\n")
+        assert res.returncode == 2 and "--bound" in res.stderr
 
     def test_timings_flag_adds_ms(self):
         res = run_cli(["perrank", "-", "--timings"], stdin=C4_G6 + "\n")

@@ -19,6 +19,13 @@ from signrank.sign_search import (
 from conftest import complete, cycle, path
 
 
+def grid(rows: int, cols: int) -> Graph:
+    at = lambda i, j: i * cols + j
+    edges = [(at(i, j), at(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(at(i, j), at(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    return Graph(rows * cols, tuple(edges))
+
+
 def random_graph(rng, n, p=0.5) -> Graph:
     edges = tuple(
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
@@ -69,6 +76,20 @@ class TestFindFullrankSign:
                 break
         else:
             pytest.fail("no seed produced an inconclusive run")
+
+    def test_grid_6x6_witness(self):
+        # n = 36 is far above the factor table's reach; the guard is one
+        # matching of the double cover
+        g = grid(6, 6)
+        out = find_fullrank_sign(g, method="randomized")
+        assert out.witness is not None
+        assert det(adjacency_matrix(g, out.witness)) != 0
+
+    @pytest.mark.parametrize("method", ["randomized", "exhaustive"])
+    def test_grid_5x5_certified_none(self, method):
+        # bipartite with sides 13 and 12: no {1,2}-factor
+        out = find_fullrank_sign(grid(5, 5), method=method)
+        assert out.status == "certified_none" and out.basis == "no_factor"
 
     def test_exhaustive_cap(self):
         with pytest.raises(ResourceCapError):
