@@ -58,22 +58,21 @@ from .graph_core import (
     Graph,
     components,
     encode_graph6,
-    is_bipartite,
     parse_edge_list,
     parse_graph6,
 )
-from .sign_search import find_fullrank_sign, max_rank_over_signs, min_rank_over_signs
+from .sign_search import (
+    DEFAULT_EXHAUSTIVE_M_CAP, find_fullrank_sign, max_rank_over_signs, min_rank_over_signs)
 from .weight_search import find_singular_weight, verify_weight
-from .zero_sum_flow import find_zero_sum_flow, flow_obstruction, verify_flow
+from .zero_sum_flow import find_zero_sum_flow, flow_bound, flow_obstruction, verify_flow
 
 @dataclass(frozen=True)
 class Caps:
     """Resource caps; each command marks a graph "skip" instead of exceeding
     them."""
 
-    sign_exhaustive_m: int = 20
+    sign_exhaustive_m: int = DEFAULT_EXHAUSTIVE_M_CAP
     factor_n: int = 12
-    minrank_m: int = 20
     flow_nodes: int = 2_000_000
 
 
@@ -204,7 +203,7 @@ def _weightfind(g: Graph, seed: int, cfg: RunConfig) -> dict:
 
 
 def _minrank(g: Graph, seed: int, cfg: RunConfig) -> dict:
-    value, witness = min_rank_over_signs(g, exhaustive_m_cap=cfg.caps.minrank_m)
+    value, witness = min_rank_over_signs(g, exhaustive_m_cap=cfg.caps.sign_exhaustive_m)
     return {"min_rank": value, "witness": list(witness.values)}
 
 
@@ -277,17 +276,15 @@ def _check_r32(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
     if outcome.route != "flow" or outcome.witness is None:
         detail["applicable"] = False
         return True, detail
-    bound = 5 if is_bipartite(g) else 11
-    detail["applicable"] = True
-    detail["bound"] = bound
-    return outcome.witness.max_abs() <= bound, detail
+    detail.update(applicable=True, bound=flow_bound(g) - 1)
+    return outcome.witness.max_abs() <= detail["bound"], detail
 
 
 def _check_flows(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
     detail: dict = {"applicable": False}
     if g.n == 0 or g.m == 0 or len(components(g)) != 1 or flow_obstruction(g) is not None:
         return True, detail
-    k = 6 if is_bipartite(g) else 12
+    k = flow_bound(g)
     detail.update(applicable=True, k=k)
     flow = find_zero_sum_flow(g, k, node_budget=cfg.caps.flow_nodes)
     if flow is None:
@@ -325,7 +322,7 @@ _COMMANDS: dict[str, Callable[[Graph, int, RunConfig], dict]] = {
 }
 
 # commands whose records are skipped for graphs above the factor_n cap
-_FACTOR_CAPPED = frozenset(("analyze", "verify", "factors", "signfind", "weightfind"))
+_FACTOR_CAPPED = frozenset(("analyze", "verify", "factors", "weightfind"))
 # commands whose record is skipped when its search raises ResourceCapError
 # (analyze catches cap hits per block instead)
 _CAP_SKIPPED = frozenset(("verify", "minrank", "signfind", "zsf"))

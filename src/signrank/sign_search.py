@@ -8,10 +8,12 @@ determinant vanishes identically.  Otherwise the square-free reduction of
 the determinant polynomial is not identically zero and random or exhaustive
 +-1 points find a witness.
 
-Exhaustive enumeration quotients by switching: negating all edges at a
-vertex conjugates the matrix by a +-1 diagonal, preserving determinant and
-rank, so it is enough to scan sign vectors that are +1 on a spanning
-forest (2^(m-n+c) representatives instead of 2^m).
+All three questions are one rank scan that stops at a proven goal: rank n
+for a full-rank sign, perrank (rank never exceeds it) for the maximum, and
+0 for the minimum.  Exhaustive scans quotient by switching: negating all
+edges at a vertex conjugates the matrix by a +-1 diagonal, preserving
+determinant and rank, so it is enough to scan sign vectors that are +1 on a
+spanning forest (2^(m-n+c) representatives instead of 2^m).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .assignments import EdgeAssignment
 from .errors import ResourceCapError
@@ -61,9 +63,6 @@ def iter_sign_representatives(g: Graph) -> Iterator[tuple[int, ...]]:
     forest = spanning_forest(g)
     free = [i for i in range(g.m) if i not in forest]
     base = [1] * g.m
-    if not free:
-        yield tuple(base)
-        return
     for combo in product((1, -1), repeat=len(free)):
         vec = list(base)
         for pos, val in zip(free, combo):
@@ -79,8 +78,26 @@ def switch_at_vertex(g: Graph, values: tuple[int, ...], v: int) -> tuple[int, ..
     return tuple(out)
 
 
-def _det_of_signs(g: Graph, values: tuple[int, ...]) -> int:
-    return det(adjacency_matrix(g, values))
+def _sampled_signs(m: int, seed: int, count: int) -> Iterator[tuple[int, ...]]:
+    """count uniform +-1 vectors of length m from one seeded generator."""
+    rng = random.Random(seed)
+    return (tuple(rng.choice((1, -1)) for _ in range(m)) for _ in range(count))
+
+
+def _scan(g: Graph, signs: Iterable[tuple[int, ...]], goal: int,
+          lowest: bool = False) -> tuple[int, tuple[int, ...], int]:
+    """Rank the sign vectors in order and return (best rank, the first
+    vector with it, vectors ranked): the highest rank, or the lowest when
+    lowest, stopping at the first vector whose rank reaches goal."""
+    side = -1 if lowest else 1
+    best, best_values, attempts = -g.n - 1, (), 0
+    for attempts, values in enumerate(signs, 1):
+        r = side * rank(adjacency_matrix(g, values))
+        if r > best:
+            best, best_values = r, values
+            if r >= side * goal:
+                break
+    return side * best, best_values, attempts
 
 
 def find_fullrank_sign(
@@ -103,32 +120,23 @@ def find_fullrank_sign(
         raise ValueError(f"unknown method {method!r}")
     if not has_factor(g):
         return SignSearchOutcome(None, method, 0, True, basis="no_factor")
-    m = g.m
-
-    def verified(values: tuple[int, ...], attempts: int) -> SignSearchOutcome:
-        # soundness: re-check the witness independently of the search path
-        if _det_of_signs(g, values) == 0:
-            raise AssertionError("witness failed re-verification")
-        return SignSearchOutcome(EdgeAssignment(values, "sign"), method, attempts, False)
-
-    if method == "exhaustive":
-        if m > exhaustive_m_cap:
+    exhaustive = method == "exhaustive"
+    if exhaustive:
+        if g.m > exhaustive_m_cap:
             raise ResourceCapError(
-                f"exhaustive sign search needs m <= {exhaustive_m_cap}, graph has m={m}")
-        attempts = 0
-        for values in iter_sign_representatives(g):
-            attempts += 1
-            if _det_of_signs(g, values) != 0:
-                return verified(values, attempts)
-        return SignSearchOutcome(None, method, attempts, True, basis="exhausted")
-
-    rng = random.Random(seed)
-    budget = max_attempts if max_attempts is not None else 64 * max(m, 1)
-    for attempts in range(1, budget + 1):
-        values = tuple(rng.choice((1, -1)) for _ in range(m))
-        if _det_of_signs(g, values) != 0:
-            return verified(values, attempts)
-    return SignSearchOutcome(None, method, budget, False)
+                f"exhaustive sign search needs m <= {exhaustive_m_cap}, graph has m={g.m}")
+        signs = iter_sign_representatives(g)
+    else:
+        budget = max_attempts if max_attempts is not None else 64 * max(g.m, 1)
+        signs = _sampled_signs(g.m, seed, budget)
+    best, values, attempts = _scan(g, signs, g.n)
+    if best != g.n:
+        return SignSearchOutcome(None, method, attempts, exhaustive,
+                                 basis="exhausted" if exhaustive else None)
+    # soundness: re-check the witness independently of the search path
+    if det(adjacency_matrix(g, values)) == 0:
+        raise AssertionError("witness failed re-verification")
+    return SignSearchOutcome(EdgeAssignment(values, "sign"), method, attempts, False)
 
 
 def max_rank_over_signs(
@@ -138,24 +146,16 @@ def max_rank_over_signs(
 ) -> int:
     """Exact maximum of rank over all signs.
 
-    Rank never exceeds perrank (the term rank), so both scans stop at the
+    Rank never exceeds perrank (the term rank), so the scan stops at the
     first sign whose rank reaches it.  Exhaustive over switching classes
     when m fits the cap.  Beyond the cap, falls back to a randomized lower
     bound that must meet the perrank upper bound; raises ResourceCapError
     when it cannot be pinned down."""
     upper = perrank_fast(g)
     exhaustive = g.m <= exhaustive_m_cap
-    if exhaustive:
-        signs = iter_sign_representatives(g)
-    else:
-        rng = random.Random(seed)
-        signs = (tuple(rng.choice((1, -1)) for _ in range(g.m)) for _ in range(64 * g.m))
-    best = 0
-    for values in signs:
-        best = max(best, rank(adjacency_matrix(g, values)))
-        if best == upper:
-            return best
-    if not exhaustive:
+    signs = iter_sign_representatives(g) if exhaustive else _sampled_signs(g.m, seed, 64 * g.m)
+    best, _, _ = _scan(g, signs, upper)
+    if not exhaustive and best != upper:
         raise ResourceCapError(
             f"m={g.m} exceeds the exhaustive cap and sampling reached only rank {best} < perrank {upper}")
     return best
@@ -176,13 +176,5 @@ def min_rank_over_signs(
         raise ResourceCapError(
             f"min-rank scan is exhaustive over 2^m signs and needs m <= {exhaustive_m_cap}; "
             f"graph has m={g.m}")
-    best: int | None = None
-    best_values: tuple[int, ...] = ()
-    for combo in iter_sign_representatives(g):
-        r = rank(adjacency_matrix(g, combo))
-        if best is None or r < best:
-            best, best_values = r, combo
-            if best == 0:
-                break
-    assert best is not None
-    return best, EdgeAssignment(best_values, "sign")
+    best, values, _ = _scan(g, iter_sign_representatives(g), 0, lowest=True)
+    return best, EdgeAssignment(values, "sign")

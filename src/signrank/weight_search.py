@@ -31,22 +31,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .assignments import EdgeAssignment
 from .detpoly import det_poly, is_single_monomial, to_text
 from .errors import InvalidAssignmentError, ResourceCapError
 from .exact_linalg import adjacency_matrix, det, matrix_at_point
 from .factors import count_factors_at_most, edge_membership, iter_factors
-from .graph_core import Graph, components, delete_edges, induced_subgraph, is_bipartite
-from .zero_sum_flow import find_zero_sum_flow, flow_obstruction
+from .graph_core import Graph, components, delete_edges, induced_subgraph
+from .zero_sum_flow import find_zero_sum_flow, flow_bound, flow_obstruction
 
 ROOT_TRIALS = 200
 TRIAL_MAGNITUDE = 10
 FLOW_NODE_BUDGET = 500_000
-BIPARTITE_FLOW_BOUND = 6
-GENERAL_FLOW_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -123,8 +120,7 @@ def _flow_attempt(g: Graph) -> tuple[int, ...] | None:
     it only runs when a flow is known to exist."""
     if g.m == 0 or flow_obstruction(g) is not None:
         return None
-    top = BIPARTITE_FLOW_BOUND if is_bipartite(g) else GENERAL_FLOW_BOUND
-    for k in range(2, top + 1):
+    for k in range(2, flow_bound(g) + 1):
         try:
             sol = find_zero_sum_flow(g, k, node_budget=FLOW_NODE_BUDGET)
         except ResourceCapError:
@@ -205,20 +201,15 @@ def _random_point(m: int, rng: random.Random) -> list[int]:
     return [rng.choice((1, -1)) * rng.randint(1, TRIAL_MAGNITUDE) for _ in range(m)]
 
 
-def _nonzero_rational_root(c1: int, c0: int) -> Fraction | None:
-    """A nonzero rational root of c1*x + c0, if one exists."""
-    if c1 == 0:
-        return Fraction(1) if c0 == 0 else None
-    if c0 == 0:
+def _root_point(pt: list[int], j: int, c1: int, c0: int) -> tuple[int, ...] | None:
+    """pt with x_j at the nonzero root of c1*x + c0 (1 if it vanishes), scaled
+    to integers by homogeneity; None when it has no nonzero root."""
+    if (c1 == 0) != (c0 == 0):
         return None
-    return Fraction(-c0, c1)
-
-
-def _scaled_integer_point(vec: list[Fraction]) -> tuple[int, ...]:
-    """Clear denominators: by homogeneity a rational root scales to an
-    integer one."""
-    d = lcm(*(f.denominator for f in vec)) if vec else 1
-    return tuple(int(f * d) for f in vec)
+    d = abs(c1) // gcd(c0, c1) if c1 else 1
+    out = [x * d for x in pt]
+    out[j] = -c0 * d // c1 if c1 else 1
+    return tuple(out)
 
 
 def _hunt_linear_part_root(
@@ -238,12 +229,7 @@ def _hunt_linear_part_root(
             return _f_at(g, q)
 
         c0 = h_with(0)
-        root = _nonzero_rational_root(h_with(1) - c0, c0)
-        if root is None:
-            continue
-        vec = [Fraction(x) for x in pt]
-        vec[j] = root
-        out = _scaled_integer_point(vec)
-        if _f_at(g, out) == 0 and all(out):
+        out = _root_point(pt, j, h_with(1) - c0, c0)
+        if out is not None and _f_at(g, out) == 0 and all(out):
             return out
     return None

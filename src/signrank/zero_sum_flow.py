@@ -25,8 +25,9 @@ that pass the exact test, so it answers "none" only for a bound k too small.
 The structural test `flow_exists_nonbipartite_test` (a connected
 non-bipartite graph has a flow iff removing any single edge leaves no
 bipartite component) is kept as an independent oracle for the tests.
-Observed bounds used by callers: 2-edge-connected bipartite graphs admit
-zero-sum 6-flows, and any graph with a zero-sum flow has a zero-sum 12-flow.
+`flow_bound` gives the observed bounds that callers use: 2-edge-connected
+bipartite graphs admit zero-sum 6-flows, and any graph with a zero-sum flow
+has a zero-sum 12-flow.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from typing import NamedTuple
 
 from .assignments import EdgeAssignment
 from .errors import InvalidAssignmentError, PreconditionError, ResourceCapError
-from .graph_core import Graph, bipartition, components, induced_subgraph, spanning_forest
+from .graph_core import (
+    Graph, bipartition, components, induced_subgraph, is_bipartite, spanning_forest)
 
 
 class FlowObstruction(NamedTuple):
@@ -169,6 +171,11 @@ def verify_flow(g: Graph, f: EdgeAssignment) -> bool:
         sums[u] += f.values[idx]
         sums[v] += f.values[idx]
     return all(s == 0 for s in sums)
+
+
+def flow_bound(g: Graph) -> int:
+    """Observed zero-sum k-flow bound: 6 when g is bipartite, else 12."""
+    return 6 if is_bipartite(g) else 12
 
 
 def _value_order(k: int) -> tuple[int, ...]:

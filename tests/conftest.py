@@ -51,6 +51,13 @@ def chain_of_4_cycles(k: int) -> Graph:
     return Graph(3 * k + 1, tuple(edges))
 
 
+def grid(rows: int, cols: int) -> Graph:
+    at = lambda i, j: i * cols + j
+    edges = [(at(i, j), at(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(at(i, j), at(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    return Graph(rows * cols, tuple(edges))
+
+
 def path(n: int) -> Graph:
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 

@@ -24,7 +24,7 @@ from signrank.harness import (
 from signrank.weight_search import WeightSearchOutcome, verify_weight
 from signrank.zero_sum_flow import verify_flow
 
-from conftest import DATA, chain_of_4_cycles, complete, cycle, path
+from conftest import DATA, chain_of_4_cycles, complete, cycle, grid, path
 
 C4_G6 = encode_graph6(cycle(4))
 P3_G6 = encode_graph6(path(3))
@@ -257,7 +257,7 @@ class TestFlowEliminations:
 class TestSkipRecords:
     @pytest.mark.parametrize(
         "command, theorem", [("analyze", None), ("verify", "t31"), ("factors", None),
-                             ("signfind", None), ("weightfind", None)])
+                             ("weightfind", None)])
     def test_factor_cap_skip_keeps_timing(self, command, theorem):
         cfg = RunConfig(command=command, theorem=theorem, timings=True,
                         caps=Caps(factor_n=3))
@@ -266,9 +266,26 @@ class TestSkipRecords:
         assert rec["status"] == "skip" and "factor cap 3" in rec["reason"]
         assert "ms" in rec and summary["skip"] == 1
 
+    def test_signfind_has_no_factor_cap(self):
+        # has_factor is one double-cover matching, so signfind answers far
+        # above the factor table's reach (n = 36 > factor_n = 12)
+        g = grid(6, 6)
+        report, summary = run([g], RunConfig(command="signfind"))
+        _, (rec,), _ = parse_report(report)
+        assert rec["status"] == "ok" and summary["skip"] == 0
+        assert det(adjacency_matrix(g, rec["sign"]["witness"])) != 0
+
+    def test_analyze_sign_cap_skips_the_block(self):
+        cfg = RunConfig(command="analyze", method="exhaustive", caps=Caps(sign_exhaustive_m=2))
+        report, summary = run([cycle(4)], cfg)
+        _, (rec,), _ = parse_report(report)
+        assert rec["status"] == "ok" and list(rec["sign"]) == ["skipped"]
+        assert "m <= 2" in rec["sign"]["skipped"]
+        assert summary["partial"] == 1 and exit_code(summary) == 3
+
     @pytest.mark.parametrize("command, theorem, method, caps", [
         ("verify", "t21", "randomized", Caps(sign_exhaustive_m=2)),
-        ("minrank", None, "randomized", Caps(minrank_m=2)),
+        ("minrank", None, "randomized", Caps(sign_exhaustive_m=2)),
         ("signfind", None, "exhaustive", Caps(sign_exhaustive_m=2)),
         ("zsf", None, "randomized", Caps(flow_nodes=0)),
     ])
@@ -407,11 +424,11 @@ class TestParseCaps:
         assert caps.sign_exhaustive_m == 24 and caps.factor_n == 9
 
     def test_unknown_key(self):
-        for text in ("frobnicate=1", "detpoly_n=5"):
+        for text in ("frobnicate=1", "detpoly_n=5", "minrank_m=5"):
             with pytest.raises(ValueError):
                 parse_caps(text)
 
-    @pytest.mark.parametrize("text", ["factor_n=-1", "flow_nodes=-5", "minrank_m=x"])
+    @pytest.mark.parametrize("text", ["factor_n=-1", "flow_nodes=-5", "sign_exhaustive_m=x"])
     def test_bad_value(self, text):
         with pytest.raises(ValueError):
             parse_caps(text)

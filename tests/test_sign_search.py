@@ -16,14 +16,7 @@ from signrank.sign_search import (
     switch_at_vertex,
 )
 
-from conftest import complete, cycle, path
-
-
-def grid(rows: int, cols: int) -> Graph:
-    at = lambda i, j: i * cols + j
-    edges = [(at(i, j), at(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
-    edges += [(at(i, j), at(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
-    return Graph(rows * cols, tuple(edges))
+from conftest import complete, cycle, grid, path
 
 
 def random_graph(rng, n, p=0.5) -> Graph:

@@ -107,14 +107,15 @@ class TestRootHunts:
         assert out is not None and _f_at(g, out) == 0
 
     def test_rational_root_solver_cases(self):
-        from fractions import Fraction
+        from signrank.weight_search import _root_point
 
-        from signrank.weight_search import _nonzero_rational_root
-
-        assert _nonzero_rational_root(2, -3) == Fraction(3, 2)
-        assert _nonzero_rational_root(2, 0) is None  # zero root skipped
-        assert _nonzero_rational_root(0, 5) is None
-        assert _nonzero_rational_root(0, 0) == 1
+        # root 3/2 of 2x - 3 (and of -4x + 6): the point scales by 2
+        assert _root_point([1, -2, 5], 1, 2, -3) == (2, 3, 10)
+        assert _root_point([1, -2, 5], 1, -4, 6) == (2, 3, 10)
+        assert _root_point([1, -2, 5], 1, 3, 7) == (3, -7, 15)
+        assert _root_point([1, -2, 5], 1, 2, 0) is None  # zero root skipped
+        assert _root_point([1, -2, 5], 1, 0, 5) is None  # no root
+        assert _root_point([1, -2, 5], 1, 0, 0) == (1, 1, 5)  # any x: take 1
 
 
 class TestImpossibility:
