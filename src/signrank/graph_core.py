@@ -1,6 +1,8 @@
 """Simple undirected graphs with a frozen edge order, plus the structural
 predicates (connected components, spanning forests, bipartiteness, cut
-edges) that the rank searches depend on.
+edges) that the rank searches depend on.  The predicates all read one walk,
+made once per graph and cached on it: a stack walk from each component's
+smallest vertex that records each vertex's forest edge and depth.
 
 The edge order is canonical: it is fixed when a graph is built and defines
 the variable indexing x1..xm used by every polynomial, sign vector and
@@ -19,12 +21,23 @@ An optional ">>graph6<<" header is accepted.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import GraphParseError
+
+
+class _Walk(NamedTuple):
+    """Per vertex, the forest edge to its parent (-1 at a root) and its
+    depth; the components by smallest vertex; the smallest vertices of those
+    with an edge between two depths of equal parity; the forest edges."""
+
+    parent: list[int]
+    depth: list[int]
+    components: tuple[frozenset[int], ...]
+    odd: frozenset[int]
+    forest: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -57,11 +70,7 @@ class Graph:
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        return tuple(tuple(u for u, _ in a) for a in self.incidence)
 
     @cached_property
     def _edge_index(self) -> dict[tuple[int, int], int]:
@@ -75,6 +84,31 @@ class Graph:
             inc[u].append((v, i))
             inc[v].append((u, i))
         return tuple(tuple(sorted(a)) for a in inc)
+
+    @cached_property
+    def _walk(self) -> _Walk:
+        """The one traversal: from each component's smallest vertex, in
+        vertex order, pop a vertex and push its unseen neighbors in
+        neighbor order, each through a forest edge."""
+        parent, depth = [-1] * self.n, [-1] * self.n
+        comps, odd = [], set()
+        for root in range(self.n):
+            if depth[root] >= 0:
+                continue
+            depth[root] = 0
+            stack, members = [root], [root]
+            while stack:
+                v = stack.pop()
+                for u, eidx in self.incidence[v]:
+                    if depth[u] < 0:
+                        parent[u], depth[u] = eidx, depth[v] + 1
+                        stack.append(u)
+                        members.append(u)
+                    elif (depth[u] - depth[v]) % 2 == 0:
+                        odd.add(root)
+            comps.append(frozenset(members))
+        forest = frozenset(e for e in parent if e >= 0)
+        return _Walk(parent, depth, tuple(comps), frozenset(odd), forest)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency[v]
@@ -167,24 +201,13 @@ def parse_graph6(text: str) -> Graph:
         for v in vals[2:8]:
             n = (n << 6) | v
         body = vals[8:]
-    nbits = n * (n - 1) // 2
-    nchars = (nbits + 5) // 6
+    nchars = (n * (n - 1) // 2 + 5) // 6
     if len(body) != nchars:
         raise GraphParseError(
             f"bad graph6 length: n={n} needs {nchars} data characters, got {len(body)}")
-    bits = []
-    for v in body:
-        for k in range(5, -1, -1):
-            bits.append((v >> k) & 1)
-    # graph6 stores the upper triangle column by column: (0,1),(0,2),(1,2),...
-    adj_bit = {}
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            adj_bit[(i, j)] = bits[pos]
-            pos += 1
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adj_bit.get((u, v))]
-    return Graph(n, tuple(edges))
+    # bit j(j-1)/2 + i is edge ij, laid out as encode_graph6 writes it
+    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                          if body[(p := j * (j - 1) // 2 + i) // 6] & 32 >> p % 6))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -207,109 +230,45 @@ def encode_graph6(g: Graph) -> str:
 
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components, ordered by their smallest vertex."""
-    seen = [False] * g.n
-    out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = []
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for u in g.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-        out.append(frozenset(comp))
-    return out
+    return list(g._walk.components)
 
 
 def spanning_forest(g: Graph) -> frozenset[int]:
     """Edge indices of a spanning forest, one tree per component, grown from
     each component's smallest vertex in stack (last-in, first-out) order."""
-    seen = [False] * g.n
-    tree: set[int] = set()
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u, eidx in g.incidence[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    tree.add(eidx)
-                    stack.append(u)
-    return frozenset(tree)
+    return g._walk.forest
 
 
 def bipartition(g: Graph, comp: frozenset[int]) -> Bipartition:
-    """Two-color one connected component by breadth-first layering.
-
-    Even layers (including the smallest vertex) form side X."""
-    root = min(comp) if comp else 0
-    color = {root: 0}
-    queue = deque([root])
-    ok = True
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u not in color:
-                color[u] = 1 - color[v]
-                queue.append(u)
-            elif color[u] == color[v]:
-                ok = False
-    if not ok:
+    """Two-color one connected component by the parity of each vertex's
+    depth in the walk.  Even depths (including the smallest vertex) form
+    side X."""
+    walk = g._walk
+    if comp and min(comp) in walk.odd:
         return Bipartition((frozenset(), frozenset()), False)
-    x = frozenset(v for v, c in color.items() if c == 0)
-    y = frozenset(v for v, c in color.items() if c == 1)
-    return Bipartition((x, y), True)
+    x = frozenset(v for v in comp if walk.depth[v] % 2 == 0)
+    return Bipartition((x, comp - x), True)
 
 
 def is_bipartite(g: Graph) -> bool:
-    return all(bipartition(g, c).valid for c in components(g))
+    return not g._walk.odd
 
 
 def cut_edges(g: Graph) -> frozenset[int]:
-    """Edge indices of all bridges (iterative depth-first low-link)."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    bridges: set[int] = set()
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
+    """Edge indices of all bridges: the forest edges that lie on the forest
+    path between the ends of no other edge."""
+    walk = g._walk
+    covered = set()
+    for i, (u, v) in enumerate(g.edges):
+        if i in walk.forest:
             continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
-        iters = {root: iter(g.incidence[root])}
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, parent_edge, _ = stack[-1]
-            advanced = False
-            for u, eidx in iters[v]:
-                if eidx == parent_edge:
-                    continue
-                if disc[u] == -1:
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    stack.append((u, eidx, 0))
-                    iters[u] = iter(g.incidence[u])
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[u])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if low[v] > disc[p]:
-                    bridges.add(parent_edge)
-    return frozenset(bridges)
+        while u != v:
+            if walk.depth[u] < walk.depth[v]:
+                u, v = v, u
+            e = walk.parent[u]
+            covered.add(e)
+            u = sum(g.edges[e]) - u  # up to the edge's other end
+    return walk.forest - covered
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
@@ -321,22 +280,13 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     """
     verts = sorted(set(keep))
     pos = {v: i for i, v in enumerate(verts)}
-    sub_edges = []
-    edge_map = []
-    for idx, (u, v) in enumerate(g.edges):
-        if u in pos and v in pos:
-            sub_edges.append((pos[u], pos[v]))
-            edge_map.append(idx)
-    return Graph(len(verts), tuple(sub_edges)), tuple(verts), tuple(edge_map)
+    edge_map = tuple(i for i, (u, v) in enumerate(g.edges) if u in pos and v in pos)
+    sub_edges = tuple((pos[u], pos[v]) for u, v in (g.edges[i] for i in edge_map))
+    return Graph(len(verts), sub_edges), tuple(verts), edge_map
 
 
 def delete_edges(g: Graph, drop: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Graph without the given edge indices, plus the sub->parent edge map."""
     dropset = set(drop)
-    sub_edges = []
-    edge_map = []
-    for idx, e in enumerate(g.edges):
-        if idx not in dropset:
-            sub_edges.append(e)
-            edge_map.append(idx)
-    return Graph(g.n, tuple(sub_edges)), tuple(edge_map)
+    edge_map = tuple(i for i in range(g.m) if i not in dropset)
+    return Graph(g.n, tuple(g.edges[i] for i in edge_map)), edge_map

@@ -321,11 +321,9 @@ _COMMANDS: dict[str, Callable[[Graph, int, RunConfig], dict]] = {
     "zsf": _zsf,
 }
 
-# commands whose records are skipped for graphs above the factor_n cap
-_FACTOR_CAPPED = frozenset(("analyze", "verify", "factors", "weightfind"))
-# commands whose record is skipped when its search raises ResourceCapError
-# (analyze catches cap hits per block instead)
-_CAP_SKIPPED = frozenset(("verify", "minrank", "signfind", "zsf"))
+# commands, and verify tags, whose records are skipped for graphs above the
+# factor_n cap
+_FACTOR_CAPPED = frozenset(("analyze", "factors", "weightfind", "t21", "t31", "r11", "r32"))
 
 
 def _worker(args: tuple[str, int, str, RunConfig]) -> dict:
@@ -336,18 +334,17 @@ def _worker(args: tuple[str, int, str, RunConfig]) -> dict:
 def _record(command: str, index: int, g: Graph, cfg: RunConfig) -> dict:
     """One graph's record: the base fields, status "ok" (or the pass/fail
     of a verify check) and the command's fields; or status "skip" with a
-    reason when the graph exceeds factor_n or the search hits a cap (for
-    the commands above).  "ms" is added under cfg.timings."""
+    reason when the graph exceeds factor_n (for the commands and tags
+    above) or the search hits a cap.  "ms" is added under cfg.timings."""
     start = time.perf_counter()
     rec = _base_record(index, g)
+    capped = cfg.theorem if command == "verify" else command
     try:
-        if command in _FACTOR_CAPPED and g.n > cfg.caps.factor_n:
+        if capped in _FACTOR_CAPPED and g.n > cfg.caps.factor_n:
             rec.update(status="skip", reason=f"n={g.n} exceeds factor cap {cfg.caps.factor_n}")
         else:
             rec.update({"status": "ok", **_COMMANDS[command](g, graph_seed(cfg.seed, index), cfg)})
     except ResourceCapError as exc:
-        if command not in _CAP_SKIPPED:
-            raise
         rec.update(status="skip", reason=str(exc))
     finally:
         # run() holds every input graph until it returns: free the factor

@@ -37,8 +37,7 @@ from typing import NamedTuple
 
 from .assignments import EdgeAssignment
 from .errors import InvalidAssignmentError, PreconditionError, ResourceCapError
-from .graph_core import (
-    Graph, bipartition, components, induced_subgraph, is_bipartite, spanning_forest)
+from .graph_core import Graph, bipartition, components, is_bipartite, spanning_forest
 
 
 class FlowObstruction(NamedTuple):
@@ -142,63 +141,25 @@ def find_zero_sum_flow(
     Returns None at once when flow_obstruction proves that no flow exists,
     and otherwise only after a complete search, so absence is certified.  A
     node_budget caps the number of value assignments explored; exceeding it
-    raises ResourceCapError (never a false "none").  Disconnected graphs are
-    solved per component.
+    raises ResourceCapError (never a false "none").  Each component is
+    searched in turn, on g itself, and the first with no flow ends the search.
     """
     if k < 2:
         raise PreconditionError("flow bound k must be >= 2")
     if flow_obstruction(g) is not None:
         return None
-    values = [0] * g.m
-    budget = [node_budget if node_budget is not None else -1]
-    for comp in components(g):
-        sub, vmap, emap = induced_subgraph(g, comp)
-        sol = _solve_component(sub, k, budget)
-        if sol is None:
-            return None
-        for j, val in enumerate(sol):
-            values[emap[j]] = val
-    return EdgeAssignment(tuple(values), "flow")
-
-
-def verify_flow(g: Graph, f: EdgeAssignment) -> bool:
-    """True iff f is nowhere zero on E(g) and every vertex sum is zero."""
-    f.check_domain(g)
-    if any(v == 0 for v in f.values):
-        raise InvalidAssignmentError("flow values must be nonzero")
-    sums = [0] * g.n
-    for idx, (u, v) in enumerate(g.edges):
-        sums[u] += f.values[idx]
-        sums[v] += f.values[idx]
-    return all(s == 0 for s in sums)
-
-
-def flow_bound(g: Graph) -> int:
-    """Observed zero-sum k-flow bound: 6 when g is bipartite, else 12."""
-    return 6 if is_bipartite(g) else 12
-
-
-def _value_order(k: int) -> tuple[int, ...]:
-    out = []
-    for v in range(1, k):
-        out.append(v)
-        out.append(-v)
-    return tuple(out)
-
-
-def _solve_component(g: Graph, k: int, budget: list[int]) -> list[int] | None:
-    """Complete bounded search on one connected graph.  budget[0] < 0 means
-    unlimited; otherwise it is decremented per assignment."""
-    m = g.m
-    if m == 0:
-        return []
-    # free choices happen only on edges outside a spanning forest; forest
+    # free choices happen only on edges outside the spanning forest; forest
     # edges are filled in by unit propagation once their subtree is decided
     forest = spanning_forest(g)
-    order = [i for i in range(m) if i not in forest] + sorted(forest)
-    values = [0] * m
+    comps = components(g)
+    where = {v: c for c, comp in enumerate(comps) for v in comp}
+    orders: list[list[int]] = [[] for _ in comps]
+    for i in sorted(range(g.m), key=lambda i: i in forest):
+        orders[where[g.edges[i][0]]].append(i)
+    values = [0] * g.m
     undecided = [g.degree(v) for v in range(g.n)]
     partial = [0] * g.n
+    budget = node_budget if node_budget is not None else -1
     limit = k - 1
     vals = _value_order(k)
 
@@ -209,7 +170,9 @@ def _solve_component(g: Graph, k: int, budget: list[int]) -> list[int] | None:
 
     def assign(eidx: int, val: int, trail: list[int]) -> bool:
         """Set one edge and run forcing to a fixed point.  Records every set
-        edge on the trail; returns False on contradiction."""
+        edge on the trail; returns False on contradiction.  A budget below 0
+        means unlimited; otherwise it is decremented per assignment."""
+        nonlocal budget
         queue = [(eidx, val)]
         while queue:
             e, x = queue.pop()
@@ -217,10 +180,10 @@ def _solve_component(g: Graph, k: int, budget: list[int]) -> list[int] | None:
                 if values[e] != x:
                     return False
                 continue
-            if budget[0] == 0:
+            if budget == 0:
                 raise ResourceCapError("zero-sum flow search exceeded its node budget")
-            if budget[0] > 0:
-                budget[0] -= 1
+            if budget > 0:
+                budget -= 1
             values[e] = x
             trail.append(e)
             # update both endpoints before any check so undo stays symmetric
@@ -248,27 +211,55 @@ def _solve_component(g: Graph, k: int, budget: list[int]) -> list[int] | None:
                 partial[v] -= x
                 undecided[v] += 1
 
-    # depth-first search without recursion: one frame per decided edge,
-    # (position in order, index of its value in vals, its trail); values
-    # are tried in vals order, so the first flow found is fixed
-    frames: list[tuple[int, int, list[int]]] = []
-    pos = vi = 0
-    while True:
-        while pos < m and values[order[pos]] != 0:
-            pos += 1
-        if pos == m:
-            return list(values)
-        if vi == len(vals):
-            if not frames:
-                return None
-            pos, vi, trail = frames.pop()
-            undo(trail)
-            vi += 1
-            continue
-        trail = []
-        if assign(order[pos], vals[vi], trail):
-            frames.append((pos, vi, trail))
-            pos, vi = pos + 1, 0
-        else:
-            undo(trail)
-            vi += 1
+    # depth-first search without recursion, one component at a time: one
+    # frame per decided edge, (position in order, index of its value in vals,
+    # its trail); values are tried in vals order, so the first flow found is
+    # fixed
+    for order in orders:
+        frames: list[tuple[int, int, list[int]]] = []
+        pos = vi = 0
+        while True:
+            while pos < len(order) and values[order[pos]] != 0:
+                pos += 1
+            if pos == len(order):
+                break
+            if vi == len(vals):
+                if not frames:
+                    return None
+                pos, vi, trail = frames.pop()
+                undo(trail)
+                vi += 1
+                continue
+            trail = []
+            if assign(order[pos], vals[vi], trail):
+                frames.append((pos, vi, trail))
+                pos, vi = pos + 1, 0
+            else:
+                undo(trail)
+                vi += 1
+    return EdgeAssignment(tuple(values), "flow")
+
+
+def verify_flow(g: Graph, f: EdgeAssignment) -> bool:
+    """True iff f is nowhere zero on E(g) and every vertex sum is zero."""
+    f.check_domain(g)
+    if any(v == 0 for v in f.values):
+        raise InvalidAssignmentError("flow values must be nonzero")
+    sums = [0] * g.n
+    for idx, (u, v) in enumerate(g.edges):
+        sums[u] += f.values[idx]
+        sums[v] += f.values[idx]
+    return all(s == 0 for s in sums)
+
+
+def flow_bound(g: Graph) -> int:
+    """Observed zero-sum k-flow bound: 6 when g is bipartite, else 12."""
+    return 6 if is_bipartite(g) else 12
+
+
+def _value_order(k: int) -> tuple[int, ...]:
+    out = []
+    for v in range(1, k):
+        out.append(v)
+        out.append(-v)
+    return tuple(out)

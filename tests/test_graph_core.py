@@ -14,9 +14,33 @@ from signrank.graph_core import (
     is_bipartite,
     parse_edge_list,
     parse_graph6,
+    spanning_forest,
 )
 
 from conftest import chain_of_4_cycles, complete, cycle, path
+
+
+def union_find_components(n: int, edges) -> tuple[int, bool]:
+    """The component count of the graph on n vertices with these edges, and
+    whether every edge joined two components (so the edges form no cycle),
+    by a union-find that shares nothing with graph_core's walk."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    count, acyclic = n, True
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            acyclic = False
+        else:
+            root[ru] = rv
+            count -= 1
+    return count, acyclic
 
 
 def reference_encode_graph6(g: Graph) -> str:
@@ -156,6 +180,21 @@ class TestComponents:
     def test_null_graph(self):
         assert components(Graph(0, ())) == []
 
+    def test_walk_is_cached_per_graph(self):
+        g = cycle(5)
+        assert spanning_forest(g) is spanning_forest(g)
+        assert components(g) == components(Graph(g.n, g.edges))
+
+
+class TestSpanningForest:
+    @pytest.mark.parametrize("corpus", ["corpus_le7", "corpus_bipartite_2ec_n8"])
+    def test_n_minus_c_edges_and_no_cycle(self, corpus, request):
+        for g in request.getfixturevalue(corpus):
+            c, _ = union_find_components(g.n, g.edges)
+            forest = spanning_forest(g)
+            assert len(forest) == g.n - c
+            assert union_find_components(g.n, [g.edges[i] for i in forest]) == (c, True)
+
 
 class TestBipartition:
     def test_c4_valid(self):
@@ -181,6 +220,23 @@ class TestBipartition:
         assert not is_bipartite(cycle(5))
         assert is_bipartite(Graph(0, ()))
 
+    @pytest.mark.parametrize("corpus", ["corpus_le7", "corpus_bipartite_2ec_n8"])
+    def test_matches_brute_force_colouring(self, corpus, request):
+        for g in request.getfixturevalue(corpus):
+            for comp in components(g):
+                verts = sorted(comp)
+                inner = [(u, v) for u, v in g.edges if u in comp]
+                proper = any(
+                    all((mask >> verts.index(u) & 1) != (mask >> verts.index(v) & 1)
+                        for u, v in inner)
+                    for mask in range(2 ** len(verts)))
+                b = bipartition(g, comp)
+                assert b.valid == proper
+                if b.valid:
+                    x, y = b.sides
+                    assert x | y == comp and not x & y
+                    assert all((u in x) != (v in x) for u, v in inner)
+
 
 class TestCutEdges:
     def test_path(self):
@@ -197,11 +253,11 @@ class TestCutEdges:
     def test_matches_component_count_oracle(self, corpus_le7):
         # bridge <=> removing the edge increases the component count
         for g in corpus_le7:
-            base = len(components(g))
+            base, _ = union_find_components(g.n, g.edges)
             bridges = cut_edges(g)
             for i in range(g.m):
-                h, _ = delete_edges(g, (i,))
-                assert (len(components(h)) > base) == (i in bridges)
+                rest = g.edges[:i] + g.edges[i + 1:]
+                assert (union_find_components(g.n, rest)[0] > base) == (i in bridges)
 
 
 class TestSubgraphs:

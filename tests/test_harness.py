@@ -256,7 +256,8 @@ class TestFlowEliminations:
 
 class TestSkipRecords:
     @pytest.mark.parametrize(
-        "command, theorem", [("analyze", None), ("verify", "t31"), ("factors", None),
+        "command, theorem", [("analyze", None), ("verify", "t21"), ("verify", "t31"),
+                             ("verify", "r11"), ("verify", "r32"), ("factors", None),
                              ("weightfind", None)])
     def test_factor_cap_skip_keeps_timing(self, command, theorem):
         cfg = RunConfig(command=command, theorem=theorem, timings=True,
@@ -274,6 +275,14 @@ class TestSkipRecords:
         _, (rec,), _ = parse_report(report)
         assert rec["status"] == "ok" and summary["skip"] == 0
         assert det(adjacency_matrix(g, rec["sign"]["witness"])) != 0
+
+    @pytest.mark.parametrize("theorem", ["c22", "flows"])
+    def test_tags_without_factor_table_have_no_factor_cap(self, theorem):
+        # c22 needs perrank_fast and the sign scan, flows the elimination and
+        # the flow solver: neither is skipped above factor_n (n = 16 > 12)
+        report, summary = run([grid(4, 4)], RunConfig(command="verify", theorem=theorem))
+        _, (rec,), _ = parse_report(report)
+        assert rec["status"] == "pass" and summary["skip"] == 0
 
     def test_analyze_sign_cap_skips_the_block(self):
         cfg = RunConfig(command="analyze", method="exhaustive", caps=Caps(sign_exhaustive_m=2))

@@ -145,6 +145,34 @@ class TestSolver:
         c4_plus_k2 = Graph(6, ((0, 1), (1, 2), (2, 3), (0, 3), (4, 5)))
         assert find_zero_sum_flow(c4_plus_k2, 6) is None
 
+    C4 = cycle(4)
+    K4 = complete(4)
+
+    @staticmethod
+    def disjoint_union(a: Graph, b: Graph) -> Graph:
+        return Graph(a.n + b.n, a.edges + tuple((u + a.n, v + a.n) for u, v in b.edges))
+
+    # per order of the parts: the flow at k = 3, and the smallest node budget
+    # that does not raise at k = 2 and at k = 3
+    PINNED = {
+        "C4+K4": ((-1, 1, -1, 1, -2, 1, 1, 1, 1, -2), 10, 14),
+        "K4+C4": ((-2, 1, 1, 1, 1, -2, -1, 1, -1, 1), 6, 14),
+    }
+
+    @pytest.mark.parametrize("order", ["C4+K4", "K4+C4"])
+    def test_components_searched_in_turn(self, order):
+        first, second = (self.C4, self.K4) if order == "C4+K4" else (self.K4, self.C4)
+        g = self.disjoint_union(first, second)
+        values, budget2, budget3 = self.PINNED[order]
+        # K4's odd degrees leave no 2-flow, whichever part is searched first
+        assert flow_obstruction(g) is None and find_zero_sum_flow(g, 2) is None
+        flow = find_zero_sum_flow(g, 3)
+        assert flow.values == values and verify_flow(g, flow)
+        for k, budget in ((2, budget2), (3, budget3)):
+            find_zero_sum_flow(g, k, node_budget=budget)
+            with pytest.raises(ResourceCapError):
+                find_zero_sum_flow(g, k, node_budget=budget - 1)
+
     def test_edgeless(self):
         flow = find_zero_sum_flow(Graph(3, ()), 2)
         assert flow is not None and flow.values == ()
