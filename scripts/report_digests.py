@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Write tests/data/report_digests.json: one digest per report of the
-committed corpora, checked by the Tier-1 suite.
+"""Write or check tests/data/report_digests.json: one digest per report of
+the committed corpora, checked by the Tier-1 suite.
 
 Every command, and `verify` with every theorem tag, runs over both corpora
 under tests/data/ at the CLI defaults (seed 0, bound 6, randomized signs,
@@ -14,11 +14,21 @@ so:
 
     python3 scripts/report_digests.py
 
+A change that must leave report bytes alone (a speed-up, say) shows it
+without touching the file:
+
+    python3 scripts/report_digests.py --check
+
+`--check` recomputes every digest, writes nothing, prints each
+(corpus, variant) pair whose digest or exit code differs from the file, and
+exits 1 if any does, 0 otherwise.
+
 Standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -54,7 +64,19 @@ def entry(corpus: str, variant: str) -> dict:
     return {"sha256": digest(report), "exit": exit_code(summary)}
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the digest file instead of writing it")
+    args = parser.parse_args(argv)
+    if args.check:
+        pinned = json.loads(DIGEST_FILE.read_text())
+        differing = [(corpus, variant) for corpus, variant in cases()
+                     if pinned.get(corpus, {}).get(variant) != entry(corpus, variant)]
+        for corpus, variant in differing:
+            print(f"differs: {corpus} {variant}")
+        print(f"{len(cases()) - len(differing)} of {len(cases())} digests match")
+        return 1 if differing else 0
     table: dict[str, dict] = {}
     for corpus, variant in cases():
         table.setdefault(corpus, {})[variant] = entry(corpus, variant)

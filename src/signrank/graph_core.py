@@ -239,6 +239,12 @@ def spanning_forest(g: Graph) -> frozenset[int]:
     return g._walk.forest
 
 
+def forest_parity(g: Graph) -> tuple[int, ...]:
+    """Per vertex, the parity (0 or 1) of its depth in the spanning forest.
+    Every forest edge joins the two parities."""
+    return tuple(d % 2 for d in g._walk.depth)
+
+
 def bipartition(g: Graph, comp: frozenset[int]) -> Bipartition:
     """Two-color one connected component by the parity of each vertex's
     depth in the walk.  Even depths (including the smallest vertex) form

@@ -19,8 +19,23 @@ a complete backtracking search with constraint propagation: whenever a
 vertex has a single undecided incident edge, that edge's value is forced to
 cancel the vertex's partial sum, and a vertex whose partial sum cannot be
 cancelled by its remaining undecided edges prunes the branch.  Free choices
-are therefore only needed outside a spanning forest.  It runs only on graphs
-that pass the exact test, so it answers "none" only for a bound k too small.
+are therefore only needed outside a spanning forest, whose edges come last
+in the search order.  It runs only on graphs that pass the exact test, so it
+answers "none" only for a bound k too small; at k = 2 it answers "none" with
+no search when a vertex has odd degree.
+
+A balance condition cuts branches that forcing cannot see.  Colour each
+vertex by the parity of its forest depth, and call an edge between two
+vertices of one colour tilted.  In a flow, the signed sum of the vertex sums
+over a component is 0; an untilted edge adds x - x = 0 to it and a tilted
+one 2x or -2x.  So the open tilted edges, each moving half that sum by 1 to
+k-1 either way, must be able to bring it back to 0.  (Once none is open, the
+edges left to search form a bipartite graph, which needs exactly this; the
+parity that a non-bipartite rest would need always holds.)  Every flow meets
+the condition, so it cuts only branches with no flow, and the branches kept
+are tried in the same order: the first flow found, every witness and every
+report byte stay the same, reached in fewer nodes (a search that hit its
+node budget may now answer).
 
 The structural test `flow_exists_nonbipartite_test` (a connected
 non-bipartite graph has a flow iff removing any single edge leaves no
@@ -37,7 +52,8 @@ from typing import NamedTuple
 
 from .assignments import EdgeAssignment
 from .errors import InvalidAssignmentError, PreconditionError, ResourceCapError
-from .graph_core import Graph, bipartition, components, is_bipartite, spanning_forest
+from .graph_core import (
+    Graph, bipartition, components, forest_parity, is_bipartite, spanning_forest)
 
 
 class FlowObstruction(NamedTuple):
@@ -139,29 +155,29 @@ def find_zero_sum_flow(
     there is none within that bound.
 
     Returns None at once when flow_obstruction proves that no flow exists,
-    and otherwise only after a complete search, so absence is certified.  A
-    node_budget caps the number of value assignments explored; exceeding it
-    raises ResourceCapError (never a false "none").  Each component is
-    searched in turn, on g itself, and the first with no flow ends the search.
+    or when k = 2 and some vertex has odd degree (an odd number of +-1
+    values has an odd sum), and otherwise only after a complete search, so
+    absence is certified.  A node_budget caps the number of value
+    assignments explored; exceeding it raises ResourceCapError (never a
+    false "none").  Each component is searched in turn, on g itself, and the
+    first with no flow ends the search.
     """
     if k < 2:
         raise PreconditionError("flow bound k must be >= 2")
+    if k == 2 and any(g.degree(v) % 2 for v in range(g.n)):
+        return None
     if flow_obstruction(g) is not None:
         return None
-    # free choices happen only on edges outside the spanning forest; forest
-    # edges are filled in by unit propagation once their subtree is decided
-    forest = spanning_forest(g)
-    comps = components(g)
-    where = {v: c for c, comp in enumerate(comps) for v in comp}
-    orders: list[list[int]] = [[] for _ in comps]
-    for i in sorted(range(g.m), key=lambda i: i in forest):
-        orders[where[g.edges[i][0]]].append(i)
+    orders, tilt = _search_plan(g)
     values = [0] * g.m
     undecided = [g.degree(v) for v in range(g.n)]
     partial = [0] * g.n
     budget = node_budget if node_budget is not None else -1
     limit = k - 1
     vals = _value_order(k)
+    # the balance of the component being searched (half its signed partial
+    # sum) and how many of its tilted edges are still undecided
+    balance = tilted = 0
 
     def feasible(v: int) -> bool:
         if undecided[v] == 0:
@@ -172,7 +188,7 @@ def find_zero_sum_flow(
         """Set one edge and run forcing to a fixed point.  Records every set
         edge on the trail; returns False on contradiction.  A budget below 0
         means unlimited; otherwise it is decremented per assignment."""
-        nonlocal budget
+        nonlocal budget, balance, tilted
         queue = [(eidx, val)]
         while queue:
             e, x = queue.pop()
@@ -186,10 +202,20 @@ def find_zero_sum_flow(
                 budget -= 1
             values[e] = x
             trail.append(e)
-            # update both endpoints before any check so undo stays symmetric
+            # update both endpoints and the balance before any check so undo
+            # stays symmetric
             for v in g.edges[e]:
                 partial[v] += x
                 undecided[v] -= 1
+            if tilt[e]:
+                balance += tilt[e] * x
+                tilted -= 1
+                # each open tilted edge moves the balance by +-1..+-limit,
+                # and together they must bring it back to 0
+                r = abs(balance)
+                if (r > limit * tilted or (tilted == 1 and r == 0)
+                        or (limit == 1 and (r + tilted) % 2)):
+                    return False
             for v in g.edges[e]:
                 if not feasible(v):
                     return False
@@ -204,18 +230,23 @@ def find_zero_sum_flow(
         return True
 
     def undo(trail: list[int]) -> None:
+        nonlocal balance, tilted
         for e in reversed(trail):
             x = values[e]
             values[e] = 0
             for v in g.edges[e]:
                 partial[v] -= x
                 undecided[v] += 1
+            if tilt[e]:
+                balance -= tilt[e] * x
+                tilted += 1
 
     # depth-first search without recursion, one component at a time: one
     # frame per decided edge, (position in order, index of its value in vals,
     # its trail); values are tried in vals order, so the first flow found is
     # fixed
     for order in orders:
+        tilted = sum(1 for e in order if tilt[e])
         frames: list[tuple[int, int, list[int]]] = []
         pos = vi = 0
         while True:
@@ -238,6 +269,26 @@ def find_zero_sum_flow(
                 undo(trail)
                 vi += 1
     return EdgeAssignment(tuple(values), "flow")
+
+
+def _search_plan(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Per component, its edges in search order (outside the spanning forest
+    first, then the forest edges, each group in index order), and per edge,
+    its tilt: the colour, +1 at even forest depth and -1 at odd, that its
+    ends share, or 0.  Kept in the graph's instance dict, so every bound of
+    a climb shares them."""
+    cache = vars(g)
+    if "_flow_plan" not in cache:
+        forest = spanning_forest(g)
+        comps = components(g)
+        where = {v: c for c, comp in enumerate(comps) for v in comp}
+        orders: list[list[int]] = [[] for _ in comps]
+        for i in sorted(range(g.m), key=lambda i: i in forest):
+            orders[where[g.edges[i][0]]].append(i)
+        colour = [1 - 2 * p for p in forest_parity(g)]
+        tilt = tuple(colour[u] if colour[u] == colour[v] else 0 for u, v in g.edges)
+        cache["_flow_plan"] = tuple(map(tuple, orders)), tilt
+    return cache["_flow_plan"]
 
 
 def verify_flow(g: Graph, f: EdgeAssignment) -> bool:

@@ -389,6 +389,20 @@ class TestReportDigests:
     def test_report_bytes_and_exit_code(self, corpus, variant):
         assert report_digests.entry(corpus, variant) == DIGESTS[corpus][variant]
 
+    def test_check_flag_on_one_case(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(report_digests, "cases", lambda: [("bipartite_2ec_n8.g6", "perrank")])
+        assert report_digests.main(["--check"]) == 0
+        # against a file with that digest changed: the pair is named, the
+        # exit code is 1 and the file is left as it was
+        table = json.loads(json.dumps(DIGESTS))
+        table["bipartite_2ec_n8.g6"]["perrank"]["sha256"] = "0" * 64
+        tampered = tmp_path / "digests.json"
+        tampered.write_text(json.dumps(table))
+        monkeypatch.setattr(report_digests, "DIGEST_FILE", tampered)
+        assert report_digests.main(["--check"]) == 1
+        assert "differs: bipartite_2ec_n8.g6 perrank" in capsys.readouterr().out
+        assert json.loads(tampered.read_text()) == table
+
 
 class TestWitnessesSelfContained:
     def test_reverify_from_report_alone(self):

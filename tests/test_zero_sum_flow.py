@@ -1,14 +1,17 @@
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
 from signrank.assignments import EdgeAssignment
 from signrank.errors import InvalidAssignmentError, PreconditionError, ResourceCapError
 from signrank.exact_linalg import adjacency_matrix, mat_vec
-from signrank.graph_core import Graph, bipartition, components, cut_edges, induced_subgraph
+from signrank.graph_core import (
+    Graph, bipartition, components, cut_edges, induced_subgraph, parse_graph6, spanning_forest)
 from signrank.zero_sum_flow import (
     FlowObstruction,
     find_zero_sum_flow,
+    flow_bound,
     flow_exists_nonbipartite_test,
     flow_obstruction,
     verify_flow,
@@ -29,6 +32,74 @@ def flow_oracle_exists(g: Graph, k: int) -> bool:
         if all(s == 0 for s in sums):
             return True
     return g.m == 0
+
+
+def reference_flow(g: Graph, k: int, node_budget: int) -> tuple[int, ...] | None:
+    """The bounded search without the k = 2 parity shortcut and without the
+    balance condition: the same edge order (per component, the edges outside
+    the spanning forest, then the forest edges, each in index order), the
+    same values in the same order, forcing at vertices with one open edge.
+    Raises ResourceCapError past node_budget assignments."""
+    if flow_obstruction(g) is not None:
+        return None
+    forest = spanning_forest(g)
+    where = {v: c for c, comp in enumerate(components(g)) for v in comp}
+    orders = [[] for _ in components(g)]
+    for i in sorted(range(g.m), key=lambda i: i in forest):
+        orders[where[g.edges[i][0]]].append(i)
+    vals = [x for v in range(1, k) for x in (v, -v)]
+    values, partial = [0] * g.m, [0] * g.n
+    undecided = [g.degree(v) for v in range(g.n)]
+    nodes = 0
+
+    def assign(e0: int, x0: int, trail: list[int]) -> bool:
+        nonlocal nodes
+        queue = [(e0, x0)]
+        while queue:
+            e, x = queue.pop()
+            if values[e]:
+                if values[e] != x:
+                    return False
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise ResourceCapError("reference search exceeded its node budget")
+            values[e] = x
+            trail.append(e)
+            for v in g.edges[e]:
+                partial[v] += x
+                undecided[v] -= 1
+            for v in g.edges[e]:
+                if abs(partial[v]) > (k - 1) * undecided[v]:
+                    return False
+                if undecided[v] == 1:
+                    if not 0 < abs(partial[v]) < k:
+                        return False
+                    queue.append((next(e2 for _, e2 in g.incidence[v] if not values[e2]),
+                                  -partial[v]))
+        return True
+
+    def undo(trail: list[int]) -> None:
+        for e in reversed(trail):
+            for v in g.edges[e]:
+                partial[v] -= values[e]
+                undecided[v] += 1
+            values[e] = 0
+
+    def solve(order: list[int], pos: int) -> bool:
+        # recursion depth is one frame per free edge; test graphs stay small
+        while pos < len(order) and values[order[pos]]:
+            pos += 1
+        if pos == len(order):
+            return True
+        for x in vals:
+            trail = []
+            if assign(order[pos], x, trail) and solve(order, pos + 1):
+                return True
+            undo(trail)
+        return False
+
+    return tuple(values) if all(solve(order, 0) for order in orders) else None
 
 
 def obstruction_holds(g: Graph, edge: int, y, d: int) -> bool:
@@ -153,25 +224,26 @@ class TestSolver:
         return Graph(a.n + b.n, a.edges + tuple((u + a.n, v + a.n) for u, v in b.edges))
 
     # per order of the parts: the flow at k = 3, and the smallest node budget
-    # that does not raise at k = 2 and at k = 3
+    # that does not raise at k = 3
     PINNED = {
-        "C4+K4": ((-1, 1, -1, 1, -2, 1, 1, 1, 1, -2), 10, 14),
-        "K4+C4": ((-2, 1, 1, 1, 1, -2, -1, 1, -1, 1), 6, 14),
+        "C4+K4": ((-1, 1, -1, 1, -2, 1, 1, 1, 1, -2), 13),
+        "K4+C4": ((-2, 1, 1, 1, 1, -2, -1, 1, -1, 1), 13),
     }
 
     @pytest.mark.parametrize("order", ["C4+K4", "K4+C4"])
     def test_components_searched_in_turn(self, order):
         first, second = (self.C4, self.K4) if order == "C4+K4" else (self.K4, self.C4)
         g = self.disjoint_union(first, second)
-        values, budget2, budget3 = self.PINNED[order]
-        # K4's odd degrees leave no 2-flow, whichever part is searched first
-        assert flow_obstruction(g) is None and find_zero_sum_flow(g, 2) is None
+        values, budget = self.PINNED[order]
+        # K4's odd degrees leave no 2-flow, whichever part is searched first,
+        # and that needs no search
+        assert flow_obstruction(g) is None
+        assert find_zero_sum_flow(g, 2, node_budget=0) is None
         flow = find_zero_sum_flow(g, 3)
         assert flow.values == values and verify_flow(g, flow)
-        for k, budget in ((2, budget2), (3, budget3)):
-            find_zero_sum_flow(g, k, node_budget=budget)
-            with pytest.raises(ResourceCapError):
-                find_zero_sum_flow(g, k, node_budget=budget - 1)
+        find_zero_sum_flow(g, 3, node_budget=budget)
+        with pytest.raises(ResourceCapError):
+            find_zero_sum_flow(g, 3, node_budget=budget - 1)
 
     def test_edgeless(self):
         flow = find_zero_sum_flow(Graph(3, ()), 2)
@@ -216,6 +288,52 @@ class TestSolver:
             assert flow.max_abs() <= 11
             eligible += 1
         assert eligible > 400
+
+
+class TestAgainstReference:
+    """The search with the parity shortcut and the balance condition against
+    reference_flow, which has neither: the same flows and the same "none",
+    under a budget that neither search reaches."""
+
+    BUDGET = 10**6
+
+    @pytest.mark.parametrize("corpus", ["corpus_le7", "corpus_bipartite_2ec_n8"])
+    def test_corpora_every_bound(self, corpus, request):
+        for g in request.getfixturevalue(corpus):
+            if g.m == 0 or flow_obstruction(g) is not None:
+                continue
+            for k in range(2, flow_bound(g) + 1):
+                found = find_zero_sum_flow(g, k, node_budget=self.BUDGET)
+                assert (found and found.values) == reference_flow(g, k, self.BUDGET)
+
+    def test_random_gnp_climb(self):
+        # the bounds a weight search climbs: 2, 3, ... up to the first flow
+        # (searches above it on dense n = 10 graphs can take the reference
+        # past 10^7 nodes)
+        rng = random.Random(2017)
+        flowing = 0
+        while flowing < 100:
+            n = rng.randint(8, 10)
+            p = rng.choice((0.4, 0.5, 0.6))
+            g = Graph(n, tuple(e for e in combinations(range(n), 2) if rng.random() < p))
+            if flow_obstruction(g) is not None:
+                continue
+            flowing += 1
+            for k in range(2, flow_bound(g) + 1):
+                found = find_zero_sum_flow(g, k, node_budget=self.BUDGET)
+                assert (found and found.values) == reference_flow(g, k, self.BUDGET)
+                if found:
+                    break
+
+    def test_balance_cuts_dead_subtrees(self):
+        # the first flow puts 1, 1, 1, -3 on the first four free edges; after
+        # them no tilted edge is open, so a wrong signed sum ends the branch
+        # (the search without the condition needs 105,473 nodes)
+        g = parse_graph6("FBY~o")
+        flow = find_zero_sum_flow(g, 12, node_budget=100)
+        assert flow is not None and verify_flow(g, flow)
+        with pytest.raises(ResourceCapError):
+            reference_flow(g, 12, 100)
 
 
 class TestVerifyFlow:
