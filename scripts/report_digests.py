@@ -3,8 +3,8 @@
 the committed corpora, checked by the Tier-1 suite.
 
 Every command, and `verify` with every theorem tag, runs over both corpora
-under tests/data/ at the CLI defaults (seed 0, bound 6, randomized signs,
-default caps, one process).  Each entry holds the sha256 of the report's
+under tests/data/ at the CLI defaults (seed 0, bound 6, default caps, one
+process).  Each entry holds the sha256 of the report's
 lines after the header, and the CLI's exit code.  The header is left out
 because it carries the version and the caps, which change for reasons that
 do not touch the answers.

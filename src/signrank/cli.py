@@ -46,8 +46,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--bound", type=_int_at_least(2), default=6,
                    help="flow bound k >= 2 for zsf/analyze")
-    p.add_argument("--method", choices=("randomized", "exhaustive"),
-                   default="randomized", help="sign search method")
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes (at most one per graph and per CPU)")
     p.add_argument("--caps", default="",
@@ -93,7 +91,6 @@ def main(argv: list[str] | None = None) -> int:
         theorem=getattr(args, "theorem", None),
         seed=args.seed,
         bound=args.bound,
-        method=args.method,
         jobs=args.jobs,
         timings=args.timings,
         caps=caps,

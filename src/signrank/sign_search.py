@@ -5,15 +5,20 @@ A full-rank sign exists iff the graph has a {1,2}-factor (iff full perrank),
 so the search certifies "none" instantly when no factor exists: every term
 of the determinant expansion needs a nonzero transversal, hence the
 determinant vanishes identically.  Otherwise the square-free reduction of
-the determinant polynomial is not identically zero and random or exhaustive
-+-1 points find a witness.
+the determinant polynomial is not identically zero, so some +-1 point is a
+witness.
 
 All three questions are one rank scan that stops at a proven goal: rank n
 for a full-rank sign, perrank (rank never exceeds it) for the maximum, and
-0 for the minimum.  Exhaustive scans quotient by switching: negating all
-edges at a vertex conjugates the matrix by a +-1 diagonal, preserving
-determinant and rank, so it is enough to scan sign vectors that are +1 on a
-spanning forest (2^(m-n+c) representatives instead of 2^m).
+0 for the minimum.  The two highest-rank questions scan one schedule:
+SAMPLES_PER_EDGE * m seeded samples, then the switching-class scan, so a
+sample answers cheaply and the scan makes the schedule complete.  The
+minimum scans the classes alone, since no sample certifies a minimum.  The
+switching-class scan quotients by switching: negating all edges at a vertex
+conjugates the matrix by a +-1 diagonal, preserving determinant and rank,
+so it is enough to scan sign vectors that are +1 on a spanning forest
+(2^(m-n+c) representatives instead of 2^m).  It is refused when m exceeds
+the cap, and only once it is reached.
 """
 
 from __future__ import annotations
@@ -30,18 +35,21 @@ from .factors import has_factor, perrank_fast
 from .graph_core import Graph, spanning_forest
 
 DEFAULT_EXHAUSTIVE_M_CAP = 20
+SAMPLES_PER_EDGE = 64
 
 
 @dataclass(frozen=True)
 class SignSearchOutcome:
     """Result of a full-rank sign search.
 
-    witness        sign assignment with nonzero determinant, if found
-    method         search method that produced the outcome
+    witness        sign assignment with nonzero determinant, or None when
+                   the graph has no {1,2}-factor
+    method         the phase of the schedule that answered: "randomized"
+                   (a sample, or the no-factor check) or "exhaustive" (the
+                   switching-class scan)
     attempts       number of candidate signs tested
-    certified_none True only with a proof that no sign works; `basis` says
-                   which proof: "no_factor" (determinant identically zero)
-                   or "exhausted" (all switching classes scanned)
+    certified_none True exactly when there is no witness; `basis` then says
+                   why: "no_factor" (determinant identically zero)
     """
 
     witness: EdgeAssignment | None
@@ -52,9 +60,7 @@ class SignSearchOutcome:
 
     @property
     def status(self) -> str:
-        if self.witness is not None:
-            return "witness"
-        return "certified_none" if self.certified_none else "inconclusive"
+        return "witness" if self.witness is not None else "certified_none"
 
 
 def iter_sign_representatives(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -84,6 +90,25 @@ def _sampled_signs(m: int, seed: int, count: int) -> Iterator[tuple[int, ...]]:
     return (tuple(rng.choice((1, -1)) for _ in range(m)) for _ in range(count))
 
 
+def _samples(g: Graph) -> int:
+    return SAMPLES_PER_EDGE * max(g.m, 1)
+
+
+def _classes(g: Graph, cap: int, scan: str) -> Iterator[tuple[int, ...]]:
+    """iter_sign_representatives under the cap on m, checked only once the
+    scan is reached: raises ResourceCapError, naming the scan, if m > cap."""
+    if g.m > cap:
+        raise ResourceCapError(
+            f"{scan} is exhaustive over 2^m signs and needs m <= {cap}; graph has m={g.m}")
+    yield from iter_sign_representatives(g)
+
+
+def _schedule(g: Graph, seed: int, cap: int, goal: int) -> Iterator[tuple[int, ...]]:
+    """The sign schedule: seeded samples, then one sign per switching class."""
+    yield from _sampled_signs(g.m, seed, _samples(g))
+    yield from _classes(g, cap, f"after {_samples(g)} samples below rank {goal}, the sign scan")
+
+
 def _scan(g: Graph, signs: Iterable[tuple[int, ...]], goal: int,
           lowest: bool = False) -> tuple[int, tuple[int, ...], int]:
     """Rank the sign vectors in order and return (best rank, the first
@@ -102,40 +127,23 @@ def _scan(g: Graph, signs: Iterable[tuple[int, ...]], goal: int,
 
 def find_fullrank_sign(
     g: Graph,
-    method: str = "randomized",
     seed: int = 0,
-    max_attempts: int | None = None,
     exhaustive_m_cap: int = DEFAULT_EXHAUSTIVE_M_CAP,
 ) -> SignSearchOutcome:
     """Find a sign with det != 0, or certify that none exists.
 
-    methods:
-      randomized  sample uniform +-1 vectors (default budget 64*m)
-      exhaustive  scan all switching classes; certifies "none" on exhaustion
-
     A graph without a {1,2}-factor is certified immediately: its determinant
-    is identically zero for every weighting.
+    is identically zero for every weighting.  Otherwise the schedule runs
+    until a sign reaches rank n, which the switching-class scan guarantees;
+    it raises ResourceCapError if the samples miss and m exceeds the cap.
     """
-    if method not in ("randomized", "exhaustive"):
-        raise ValueError(f"unknown method {method!r}")
     if not has_factor(g):
-        return SignSearchOutcome(None, method, 0, True, basis="no_factor")
-    exhaustive = method == "exhaustive"
-    if exhaustive:
-        if g.m > exhaustive_m_cap:
-            raise ResourceCapError(
-                f"exhaustive sign search needs m <= {exhaustive_m_cap}, graph has m={g.m}")
-        signs = iter_sign_representatives(g)
-    else:
-        budget = max_attempts if max_attempts is not None else 64 * max(g.m, 1)
-        signs = _sampled_signs(g.m, seed, budget)
-    best, values, attempts = _scan(g, signs, g.n)
-    if best != g.n:
-        return SignSearchOutcome(None, method, attempts, exhaustive,
-                                 basis="exhausted" if exhaustive else None)
+        return SignSearchOutcome(None, "randomized", 0, True, basis="no_factor")
+    best, values, attempts = _scan(g, _schedule(g, seed, exhaustive_m_cap, g.n), g.n)
     # soundness: re-check the witness independently of the search path
-    if det(adjacency_matrix(g, values)) == 0:
-        raise AssertionError("witness failed re-verification")
+    if best != g.n or det(adjacency_matrix(g, values)) == 0:
+        raise AssertionError("no verified full-rank sign on a graph with a {1,2}-factor")
+    method = "exhaustive" if attempts > _samples(g) else "randomized"
     return SignSearchOutcome(EdgeAssignment(values, "sign"), method, attempts, False)
 
 
@@ -146,19 +154,11 @@ def max_rank_over_signs(
 ) -> int:
     """Exact maximum of rank over all signs.
 
-    Rank never exceeds perrank (the term rank), so the scan stops at the
-    first sign whose rank reaches it.  Exhaustive over switching classes
-    when m fits the cap.  Beyond the cap, falls back to a randomized lower
-    bound that must meet the perrank upper bound; raises ResourceCapError
-    when it cannot be pinned down."""
+    Rank never exceeds perrank (the term rank), so the schedule stops at the
+    first sign whose rank reaches it; below that, only the complete scan
+    pins the maximum, and it raises ResourceCapError above the cap."""
     upper = perrank_fast(g)
-    exhaustive = g.m <= exhaustive_m_cap
-    signs = iter_sign_representatives(g) if exhaustive else _sampled_signs(g.m, seed, 64 * g.m)
-    best, _, _ = _scan(g, signs, upper)
-    if not exhaustive and best != upper:
-        raise ResourceCapError(
-            f"m={g.m} exceeds the exhaustive cap and sampling reached only rank {best} < perrank {upper}")
-    return best
+    return _scan(g, _schedule(g, seed, exhaustive_m_cap, upper), upper)[0]
 
 
 def min_rank_over_signs(
@@ -170,11 +170,7 @@ def min_rank_over_signs(
 
     Rank is invariant under switching (D A D for a +-1 diagonal D), so one
     sign per switching class, 2^(m-n+c) of them, covers all 2^m.  Data
-    collection for an open problem; exhaustive only, refused above the
-    cap."""
-    if g.m > exhaustive_m_cap:
-        raise ResourceCapError(
-            f"min-rank scan is exhaustive over 2^m signs and needs m <= {exhaustive_m_cap}; "
-            f"graph has m={g.m}")
-    best, values, _ = _scan(g, iter_sign_representatives(g), 0, lowest=True)
+    collection for an open problem; scan only, since no sample certifies a
+    minimum, and refused above the cap."""
+    best, values, _ = _scan(g, _classes(g, exhaustive_m_cap, "min-rank scan"), 0, lowest=True)
     return best, EdgeAssignment(values, "sign")

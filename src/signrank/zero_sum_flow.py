@@ -193,8 +193,9 @@ def find_zero_sum_flow(
         while queue:
             e, x = queue.pop()
             if values[e] != 0:
-                if values[e] != x:
-                    return False
+                # a second entry for e was queued from its other end w,
+                # whose only open edge was e; setting e from the first
+                # entry left w feasible only if the two values agree
                 continue
             if budget == 0:
                 raise ResourceCapError("zero-sum flow search exceeded its node budget")

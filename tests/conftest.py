@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from signrank import sign_search
 from signrank.graph_core import Graph, parse_graph6
 
 DATA = Path(__file__).parent / "data"
@@ -14,6 +15,14 @@ DATA = Path(__file__).parent / "data"
 def _load(name: str) -> tuple[Graph, ...]:
     lines = (DATA / name).read_text().split()
     return tuple(parse_graph6(line) for line in lines)
+
+
+@pytest.fixture
+def no_samples(monkeypatch):
+    """Switch off the sampling phase of the sign schedule, so every
+    full-rank and max-rank sign answer comes from the switching-class scan
+    (or its cap), as no corpus graph otherwise makes it."""
+    monkeypatch.setattr(sign_search, "SAMPLES_PER_EDGE", 0)
 
 
 @pytest.fixture(scope="session")

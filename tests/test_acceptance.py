@@ -35,14 +35,15 @@ def _two_edge_connected(g) -> bool:
     return g.n >= 3 and len(components(g)) == 1 and not cut_edges(g)
 
 
-def test_criterion_1_fullrank_sign_sweep(corpus_le7):
-    """Exhaustive sign search finds a witness iff perrank = n iff a factor
-    exists, over every graph of order <= 7."""
+def test_criterion_1_fullrank_sign_sweep(corpus_le7, no_samples):
+    """The switching-class scan, with the sign schedule's samples switched
+    off, finds a witness iff perrank = n iff a factor exists, over every
+    graph of order <= 7."""
     assert sum(1 for g in corpus_le7 if g.n == 7) == 1044  # published count
     assert len(corpus_le7) == 1253
     witnesses = certified = 0
     for g in corpus_le7:
-        out = find_fullrank_sign(g, method="exhaustive", exhaustive_m_cap=21)
+        out = find_fullrank_sign(g, exhaustive_m_cap=21)
         factor = has_factor(g)
         full = perrank_fast(g) == g.n
         assert factor == full

@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 import json
+import random
 import subprocess
 import sys
 
@@ -24,7 +25,7 @@ from signrank.harness import (
 from signrank.weight_search import WeightSearchOutcome, verify_weight
 from signrank.zero_sum_flow import verify_flow
 
-from conftest import DATA, chain_of_4_cycles, complete, cycle, grid, path
+from conftest import DATA, chain_of_4_cycles, complete, cycle, grid, path, petersen
 
 C4_G6 = encode_graph6(cycle(4))
 P3_G6 = encode_graph6(path(3))
@@ -284,26 +285,38 @@ class TestSkipRecords:
         _, (rec,), _ = parse_report(report)
         assert rec["status"] == "pass" and summary["skip"] == 0
 
-    def test_analyze_sign_cap_skips_the_block(self):
-        cfg = RunConfig(command="analyze", method="exhaustive", caps=Caps(sign_exhaustive_m=2))
+    def test_analyze_sign_cap_skips_the_block(self, no_samples):
+        cfg = RunConfig(command="analyze", caps=Caps(sign_exhaustive_m=2))
         report, summary = run([cycle(4)], cfg)
         _, (rec,), _ = parse_report(report)
         assert rec["status"] == "ok" and list(rec["sign"]) == ["skipped"]
         assert "m <= 2" in rec["sign"]["skipped"]
         assert summary["partial"] == 1 and exit_code(summary) == 3
 
-    @pytest.mark.parametrize("command, theorem, method, caps", [
-        ("verify", "t21", "randomized", Caps(sign_exhaustive_m=2)),
-        ("minrank", None, "randomized", Caps(sign_exhaustive_m=2)),
-        ("signfind", None, "exhaustive", Caps(sign_exhaustive_m=2)),
-        ("zsf", None, "randomized", Caps(flow_nodes=0)),
+    @pytest.mark.parametrize("command, theorem, caps", [
+        ("verify", "t21", Caps(sign_exhaustive_m=2)),
+        ("verify", "c22", Caps(sign_exhaustive_m=2)),
+        ("minrank", None, Caps(sign_exhaustive_m=2)),
+        ("signfind", None, Caps(sign_exhaustive_m=2)),
+        ("zsf", None, Caps(flow_nodes=0)),
     ])
-    def test_cap_hit_skips_the_record(self, command, theorem, method, caps):
-        cfg = RunConfig(command=command, theorem=theorem, method=method, caps=caps)
+    def test_cap_hit_skips_the_record(self, command, theorem, caps, no_samples):
+        cfg = RunConfig(command=command, theorem=theorem, caps=caps)
         report, summary = run([cycle(4), path(3)], cfg)
         _, (c4, p3), _ = parse_report(report)
         assert c4["status"] == "skip" and c4["g6"] == C4_G6 and c4["reason"]
         assert p3["status"] != "skip" and summary["skip"] == 1
+
+    def test_samples_answer_above_the_sign_cap(self):
+        # K7 has m = 21 > 20: a sample finds its full-rank sign, so only
+        # minrank, which scans alone, is skipped
+        graphs = [complete(7)]
+        for command, theorem in (("verify", "t21"), ("verify", "c22"), ("signfind", None)):
+            _, summary = run(graphs, RunConfig(command=command, theorem=theorem))
+            assert summary["skip"] == 0 and summary["fail"] == 0, (command, theorem)
+        report, summary = run(graphs, RunConfig(command="minrank"))
+        _, (rec,), _ = parse_report(report)
+        assert summary["skip"] == 1 and "min-rank scan" in rec["reason"]
 
 
 class TestZsfCommand:
@@ -320,7 +333,7 @@ class TestZsfCommand:
             sys.setrecursionlimit(limit)
         _, (rec,), _ = parse_report(report)
         assert summary["skip"] == 0 and rec["status"] == "ok"
-        assert verify_flow(g, EdgeAssignment(tuple(rec["values"]), "flow"))
+        assert verify_flow(parse_graph6(rec["g6"]), EdgeAssignment(tuple(rec["values"]), "flow"))
 
 
 class TestVerifyCommand:
@@ -369,6 +382,19 @@ class TestDeterminism:
         b, _ = run(graphs, RunConfig(command="analyze", seed=7, jobs=2))
         assert a == b
 
+    def test_edge_order_does_not_change_bytes(self):
+        # a graph given in any edge order is run as the graph of its g6, in
+        # one process or in a pool that re-parses it
+        rng = random.Random(5)
+        graphs = [complete(5), grid(2, 3), petersen(), chain_of_4_cycles(3),
+                  load_corpus(SHUFFLED_EDGE_LIST, "edgelist")[0]]
+        shuffled = [Graph(g.n, tuple(rng.sample(g.edges, g.m))) for g in graphs]
+        sorted_ = [parse_graph6(encode_graph6(g)) for g in graphs]
+        assert any(list(g.edges) != list(h.edges) for g, h in zip(shuffled, sorted_))
+        for jobs in (1, 2):
+            cfg = RunConfig(command="analyze", seed=3, jobs=jobs)
+            assert run(shuffled, cfg)[0] == run(sorted_, RunConfig(command="analyze", seed=3))[0]
+
     def test_graph_seed_stable(self):
         assert graph_seed(0, 0) == graph_seed(0, 0)
         assert graph_seed(0, 0) != graph_seed(0, 1)
@@ -404,11 +430,13 @@ class TestReportDigests:
         assert json.loads(tampered.read_text()) == table
 
 
+# a 4-vertex graph whose edge-list order is not graph6 order
+SHUFFLED_EDGE_LIST = "4\n2 3\n0 3\n1 2\n0 1\n1 3\n"
+
+
 class TestWitnessesSelfContained:
-    def test_reverify_from_report_alone(self):
-        graphs = load_corpus(CORPUS, "graph6")
-        report, _ = run(graphs, RunConfig(command="analyze"))
-        _, records, _ = parse_report(report)
+    @staticmethod
+    def reverify(records):
         for rec in records:
             g = parse_graph6(rec["g6"])
             sign = rec["sign"]["witness"]
@@ -427,6 +455,19 @@ class TestWitnessesSelfContained:
                 assert obs["d"] != 0 and len(obs["y"]) == g.n
                 for i, (u, v) in enumerate(g.edges):
                     assert obs["y"][u] + obs["y"][v] == (obs["d"] if i == obs["edge"] else 0)
+
+    def test_reverify_from_report_alone(self):
+        graphs = load_corpus(CORPUS, "graph6")
+        report, _ = run(graphs, RunConfig(command="analyze"))
+        self.reverify(parse_report(report)[1])
+
+    def test_edge_list_out_of_graph6_order(self):
+        # witnesses index the edges of the record's g6, not the file's order
+        res = run_cli(["analyze", "-", "--format", "edgelist"], stdin=SHUFFLED_EDGE_LIST)
+        assert res.returncode == 0, res.stderr
+        _, (rec,), _ = parse_report(res.stdout)
+        assert rec["weight"]["witness"] is not None and rec["sign"]["witness"] is not None
+        self.reverify([rec])
 
 
 class TestExitCodes:
@@ -540,8 +581,10 @@ class TestCli:
             assert res.returncode == 2 and "--jobs" in res.stderr
 
     def test_greedy_method_rejected(self):
-        res = run_cli(["signfind", "-", "--method", "greedy"], stdin=C4_G6 + "\n")
-        assert res.returncode == 2 and "--method" in res.stderr
+        # there is one sign schedule, so --method is no flag at all
+        for method in ("greedy", "randomized", "exhaustive"):
+            res = run_cli(["signfind", "-", "--method", method], stdin=C4_G6 + "\n")
+            assert res.returncode == 2 and "unrecognized arguments: --method" in res.stderr
 
     def test_analyze_whole_corpus(self):
         # the shipped corpus at default caps: no record may sink the run

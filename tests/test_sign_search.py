@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from signrank import sign_search
 from signrank.errors import ResourceCapError
 from signrank.exact_linalg import adjacency_matrix, det, rank
 from signrank.factors import has_factor, perrank_fast
@@ -26,71 +27,90 @@ def random_graph(rng, n, p=0.5) -> Graph:
 
 
 class TestFindFullrankSign:
-    def test_k2(self):
-        out = find_fullrank_sign(complete(2), method="exhaustive")
-        assert out.witness.values == (1,)
+    def test_k2(self, no_samples):
+        out = find_fullrank_sign(complete(2))
+        assert out.witness.values == (1,) and out.method == "exhaustive"
         assert det(adjacency_matrix(complete(2), out.witness)) == -1
 
     def test_p3_certified_none(self):
-        out = find_fullrank_sign(path(3), method="exhaustive")
+        out = find_fullrank_sign(path(3))
         assert out.status == "certified_none"
-        assert out.basis == "no_factor"
+        assert out.basis == "no_factor" and out.method == "randomized"
 
     def test_c4_witness(self):
-        out = find_fullrank_sign(cycle(4), method="exhaustive")
+        out = find_fullrank_sign(cycle(4))
         assert out.witness is not None
         assert det(adjacency_matrix(cycle(4), out.witness)) != 0
 
-    @pytest.mark.parametrize("method", ["randomized", "exhaustive"])
-    def test_methods_agree_on_small_graphs(self, method, corpus_le5):
+    def test_witness_iff_factor_on_small_graphs(self, corpus_le5):
         for idx, g in enumerate(corpus_le5):
-            out = find_fullrank_sign(g, method=method, seed=idx)
-            expect = has_factor(g)
-            if expect:
-                assert out.witness is not None, (method, g)
+            out = find_fullrank_sign(g, seed=idx)
+            if has_factor(g):
+                assert out.witness is not None and out.method == "randomized", g
                 assert det(adjacency_matrix(g, out.witness)) != 0
             else:
                 assert out.witness is None and out.certified_none
 
     def test_randomized_is_seeded(self):
-        a = find_fullrank_sign(complete(5), method="randomized", seed=11)
-        b = find_fullrank_sign(complete(5), method="randomized", seed=11)
+        a = find_fullrank_sign(complete(5), seed=11)
+        b = find_fullrank_sign(complete(5), seed=11)
         assert a.witness == b.witness and a.attempts == b.attempts
-
-    def test_randomized_inconclusive_is_not_a_certificate(self):
-        # with a single attempt the sampler can miss; it must then report
-        # inconclusive, never certified absence
-        for seed in range(40):
-            out = find_fullrank_sign(cycle(4), method="randomized", seed=seed,
-                                     max_attempts=1)
-            if out.witness is None:
-                assert out.status == "inconclusive"
-                assert not out.certified_none
-                break
-        else:
-            pytest.fail("no seed produced an inconclusive run")
 
     def test_grid_6x6_witness(self):
         # n = 36 is far above the factor table's reach; the guard is one
         # matching of the double cover
         g = grid(6, 6)
-        out = find_fullrank_sign(g, method="randomized")
+        out = find_fullrank_sign(g)
         assert out.witness is not None
         assert det(adjacency_matrix(g, out.witness)) != 0
 
-    @pytest.mark.parametrize("method", ["randomized", "exhaustive"])
-    def test_grid_5x5_certified_none(self, method):
+    def test_grid_5x5_certified_none(self):
         # bipartite with sides 13 and 12: no {1,2}-factor
-        out = find_fullrank_sign(grid(5, 5), method=method)
+        out = find_fullrank_sign(grid(5, 5))
         assert out.status == "certified_none" and out.basis == "no_factor"
 
-    def test_exhaustive_cap(self):
-        with pytest.raises(ResourceCapError):
-            find_fullrank_sign(complete(7), method="exhaustive", exhaustive_m_cap=10)
+    def test_exhaustive_cap(self, no_samples):
+        with pytest.raises(ResourceCapError, match="m <= 10"):
+            find_fullrank_sign(complete(7), exhaustive_m_cap=10)
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            find_fullrank_sign(complete(2), method="simulated-annealing")
+
+class TestScanFallback:
+    """The schedule's second phase, which no corpus graph reaches: with
+    sampling off, the switching-class scan answers alone."""
+
+    def test_witness_on_every_factor_graph(self, no_samples, corpus_le5):
+        for g in corpus_le5:
+            out = find_fullrank_sign(g)
+            if has_factor(g):
+                assert out.method == "exhaustive" and out.attempts >= 1, g
+                assert det(adjacency_matrix(g, out.witness)) != 0
+            else:
+                assert out.certified_none and out.attempts == 0
+
+    def test_max_rank_equals_perrank(self, no_samples, corpus_le5):
+        for g in corpus_le5:
+            assert max_rank_over_signs(g) == perrank_fast(g)
+
+    @pytest.mark.parametrize("search", [find_fullrank_sign, max_rank_over_signs])
+    def test_miss_above_cap_is_not_a_certificate(self, search, monkeypatch):
+        # one sample per edge misses a full-rank sign of C4 on some seeds;
+        # above the cap the scan is refused, so a miss is a cap error and
+        # never an answer
+        monkeypatch.setattr(sign_search, "SAMPLES_PER_EDGE", 1)
+        misses = 0
+        for seed in range(40):
+            try:
+                out = search(cycle(4), seed=seed, exhaustive_m_cap=0)
+            except ResourceCapError as exc:
+                assert "after 4 samples below rank 4" in str(exc) and "m <= 0" in str(exc)
+                misses += 1
+                continue
+            if search is max_rank_over_signs:
+                assert out == 4
+            else:
+                assert out.method == "randomized"
+                assert det(adjacency_matrix(cycle(4), out.witness)) != 0
+        assert 0 < misses < 40
 
 
 class TestSwitching:
