@@ -48,19 +48,24 @@ class SignSearchOutcome:
                    (a sample, or the no-factor check) or "exhaustive" (the
                    switching-class scan)
     attempts       number of candidate signs tested
-    certified_none True exactly when there is no witness; `basis` then says
-                   why: "no_factor" (determinant identically zero)
+    basis          why there is no witness: "no_factor" (determinant
+                   identically zero)
     """
 
     witness: EdgeAssignment | None
     method: str
     attempts: int
-    certified_none: bool
     basis: str | None = None
 
     @property
+    def certified_none(self) -> bool:
+        """True exactly when there is no witness: the search never returns a
+        miss (above the cap it raises ResourceCapError instead)."""
+        return self.witness is None
+
+    @property
     def status(self) -> str:
-        return "witness" if self.witness is not None else "certified_none"
+        return "certified_none" if self.certified_none else "witness"
 
 
 def iter_sign_representatives(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -103,10 +108,10 @@ def _classes(g: Graph, cap: int, scan: str) -> Iterator[tuple[int, ...]]:
     yield from iter_sign_representatives(g)
 
 
-def _schedule(g: Graph, seed: int, cap: int, goal: int) -> Iterator[tuple[int, ...]]:
+def _schedule(g: Graph, seed: int, cap: int) -> Iterator[tuple[int, ...]]:
     """The sign schedule: seeded samples, then one sign per switching class."""
     yield from _sampled_signs(g.m, seed, _samples(g))
-    yield from _classes(g, cap, f"after {_samples(g)} samples below rank {goal}, the sign scan")
+    yield from _classes(g, cap, f"sign scan after {_samples(g)} missed samples")
 
 
 def _scan(g: Graph, signs: Iterable[tuple[int, ...]], goal: int,
@@ -138,13 +143,13 @@ def find_fullrank_sign(
     it raises ResourceCapError if the samples miss and m exceeds the cap.
     """
     if not has_factor(g):
-        return SignSearchOutcome(None, "randomized", 0, True, basis="no_factor")
-    best, values, attempts = _scan(g, _schedule(g, seed, exhaustive_m_cap, g.n), g.n)
+        return SignSearchOutcome(None, "randomized", 0, basis="no_factor")
+    best, values, attempts = _scan(g, _schedule(g, seed, exhaustive_m_cap), g.n)
     # soundness: re-check the witness independently of the search path
     if best != g.n or det(adjacency_matrix(g, values)) == 0:
         raise AssertionError("no verified full-rank sign on a graph with a {1,2}-factor")
     method = "exhaustive" if attempts > _samples(g) else "randomized"
-    return SignSearchOutcome(EdgeAssignment(values, "sign"), method, attempts, False)
+    return SignSearchOutcome(EdgeAssignment(values, "sign"), method, attempts)
 
 
 def max_rank_over_signs(
@@ -158,7 +163,7 @@ def max_rank_over_signs(
     first sign whose rank reaches it; below that, only the complete scan
     pins the maximum, and it raises ResourceCapError above the cap."""
     upper = perrank_fast(g)
-    return _scan(g, _schedule(g, seed, exhaustive_m_cap, upper), upper)[0]
+    return _scan(g, _schedule(g, seed, exhaustive_m_cap), upper)[0]
 
 
 def min_rank_over_signs(

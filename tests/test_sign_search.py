@@ -102,7 +102,7 @@ class TestScanFallback:
             try:
                 out = search(cycle(4), seed=seed, exhaustive_m_cap=0)
             except ResourceCapError as exc:
-                assert "after 4 samples below rank 4" in str(exc) and "m <= 0" in str(exc)
+                assert "after 4 missed samples" in str(exc) and "m <= 0" in str(exc)
                 misses += 1
                 continue
             if search is max_rank_over_signs:
