@@ -3,7 +3,10 @@
 Subcommands: analyze, verify, minrank, factors, perrank, signfind,
 weightfind, zsf.  Input is a file path or "-" for standard input, holding
 one graph per line (graph6, the default) or a single edge-list graph
-(--format edgelist).  Exit codes: 0 ok, 1 verification failure, 2 usage,
+(--format edgelist).  Every full-rank and max-rank sign question (signfind,
+analyze, verify t21 and c22) runs one schedule: samples seeded from --seed,
+then the switching-class scan, which the sign_exhaustive_m cap limits, as
+it does minrank's.  Exit codes: 0 ok, 1 verification failure, 2 usage,
 read, parse or write error, 3 resource cap hit or answer missing (skipped
 records, or records with a skipped block or an inconclusive weight search),
 unless --allow-skips.

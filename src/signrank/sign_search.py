@@ -162,8 +162,7 @@ def max_rank_over_signs(
     Rank never exceeds perrank (the term rank), so the schedule stops at the
     first sign whose rank reaches it; below that, only the complete scan
     pins the maximum, and it raises ResourceCapError above the cap."""
-    upper = perrank_fast(g)
-    return _scan(g, _schedule(g, seed, exhaustive_m_cap), upper)[0]
+    return _scan(g, _schedule(g, seed, exhaustive_m_cap), perrank_fast(g))[0]
 
 
 def min_rank_over_signs(

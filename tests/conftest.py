@@ -19,9 +19,9 @@ def _load(name: str) -> tuple[Graph, ...]:
 
 @pytest.fixture
 def no_samples(monkeypatch):
-    """Switch off the sampling phase of the sign schedule, so every
-    full-rank and max-rank sign answer comes from the switching-class scan
-    (or its cap), as no corpus graph otherwise makes it."""
+    """Switch off the sign schedule's sampling phase, so every full-rank and
+    max-rank answer comes from the switching-class scan or its cap; no
+    corpus graph reaches that scan otherwise."""
     monkeypatch.setattr(sign_search, "SAMPLES_PER_EDGE", 0)
 
 

@@ -295,10 +295,10 @@ class TestSkipRecords:
 
     @pytest.mark.parametrize("command, theorem, caps", [
         ("verify", "t21", Caps(sign_exhaustive_m=2)),
-        ("verify", "c22", Caps(sign_exhaustive_m=2)),
         ("minrank", None, Caps(sign_exhaustive_m=2)),
         ("signfind", None, Caps(sign_exhaustive_m=2)),
         ("zsf", None, Caps(flow_nodes=0)),
+        ("verify", "c22", Caps(sign_exhaustive_m=2)),
     ])
     def test_cap_hit_skips_the_record(self, command, theorem, caps, no_samples):
         cfg = RunConfig(command=command, theorem=theorem, caps=caps)
@@ -391,9 +391,9 @@ class TestDeterminism:
         shuffled = [Graph(g.n, tuple(rng.sample(g.edges, g.m))) for g in graphs]
         sorted_ = [parse_graph6(encode_graph6(g)) for g in graphs]
         assert any(list(g.edges) != list(h.edges) for g, h in zip(shuffled, sorted_))
+        expected = run(sorted_, RunConfig(command="analyze", seed=3))[0]
         for jobs in (1, 2):
-            cfg = RunConfig(command="analyze", seed=3, jobs=jobs)
-            assert run(shuffled, cfg)[0] == run(sorted_, RunConfig(command="analyze", seed=3))[0]
+            assert run(shuffled, RunConfig(command="analyze", seed=3, jobs=jobs))[0] == expected
 
     def test_graph_seed_stable(self):
         assert graph_seed(0, 0) == graph_seed(0, 0)

@@ -91,7 +91,8 @@ class TestScanFallback:
         for g in corpus_le5:
             assert max_rank_over_signs(g) == perrank_fast(g)
 
-    @pytest.mark.parametrize("search", [find_fullrank_sign, max_rank_over_signs])
+    @pytest.mark.parametrize("search", [find_fullrank_sign, max_rank_over_signs],
+                             ids=["fullrank", "maxrank"])
     def test_miss_above_cap_is_not_a_certificate(self, search, monkeypatch):
         # one sample per edge misses a full-rank sign of C4 on some seeds;
         # above the cap the scan is refused, so a miss is a cap error and
