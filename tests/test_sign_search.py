@@ -64,10 +64,15 @@ class TestFindFullrankSign:
         assert out.witness is not None
         assert det(adjacency_matrix(g, out.witness)) != 0
 
-    def test_grid_5x5_certified_none(self):
-        # bipartite with sides 13 and 12: no {1,2}-factor
+    @pytest.mark.parametrize("samples_per_edge", [64, 0],
+                             ids=["randomized", "exhaustive"])
+    def test_grid_5x5_certified_none(self, samples_per_edge, monkeypatch):
+        # bipartite with sides 13 and 12: no {1,2}-factor, so the guard
+        # certifies before either phase of the schedule runs
+        monkeypatch.setattr(sign_search, "SAMPLES_PER_EDGE", samples_per_edge)
         out = find_fullrank_sign(grid(5, 5))
         assert out.status == "certified_none" and out.basis == "no_factor"
+        assert out.attempts == 0
 
     def test_exhaustive_cap(self, no_samples):
         with pytest.raises(ResourceCapError, match="m <= 10"):
