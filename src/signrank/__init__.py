@@ -58,6 +58,7 @@ from .zero_sum_flow import (
     find_zero_sum_flow,
     flow_exists_nonbipartite_test,
     flow_obstruction,
+    least_bound_flow,
     verify_flow,
     verify_obstruction,
 )

@@ -26,7 +26,7 @@ _THEOREM_HELP = (
     "t31: singular weighting exists iff at least two factors; "
     "r11: factor-orientation count equals adjacency permanent; "
     "r32: flow-route weights within the 5/11 bound; "
-    "flows: bounded zero-sum flow solver succeeds where existence is known"
+    "flows: the flow climb up to the 6/12 bound succeeds where existence is known"
 )
 
 
@@ -52,7 +52,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes (at most one per graph and per CPU)")
     p.add_argument("--caps", default="",
-                   help="override caps, e.g. sign_exhaustive_m=24,factor_n=10")
+                   help="override caps as key=value,...: sign_exhaustive_m (largest m of a "
+                        "sign scan), factor_n (largest n of a factor table), flow_nodes "
+                        "(search nodes of a flow climb, weight searches included)")
     p.add_argument("--output", default=None, help="write the report to a file")
     p.add_argument("--timings", action="store_true",
                    help="include per-record timings (breaks byte reproducibility)")

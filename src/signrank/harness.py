@@ -33,7 +33,7 @@ Checks (cmd_verify tags):
     t31    singular weighting exists <=> at least two factors (t = 0 flagged)
     r11    factor-orientation count equals the adjacency permanent
     r32    flow-route witnesses respect the 5 (bipartite) / 11 bound
-    flows  bounded zero-sum flow solver succeeds where existence is known
+    flows  the flow climb up to flow_bound succeeds where existence is known
 """
 
 from __future__ import annotations
@@ -65,16 +65,17 @@ from .graph_core import (
 from .sign_search import (
     DEFAULT_EXHAUSTIVE_M_CAP, find_fullrank_sign, max_rank_over_signs, min_rank_over_signs)
 from .weight_search import find_singular_weight, verify_weight
-from .zero_sum_flow import find_zero_sum_flow, flow_bound, flow_obstruction, verify_flow
+from .zero_sum_flow import (
+    DEFAULT_FLOW_NODES, flow_bound, flow_obstruction, least_bound_flow, verify_flow)
 
 @dataclass(frozen=True)
 class Caps:
     """Resource caps; each command marks a graph "skip" instead of exceeding
     them."""
 
-    sign_exhaustive_m: int = DEFAULT_EXHAUSTIVE_M_CAP
-    factor_n: int = 12
-    flow_nodes: int = 2_000_000
+    sign_exhaustive_m: int = DEFAULT_EXHAUSTIVE_M_CAP  # largest m of a switching-class scan
+    factor_n: int = 12  # largest n of a factor table
+    flow_nodes: int = DEFAULT_FLOW_NODES  # search nodes of a flow climb, all bounds together
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class RunConfig:
 
 
 def parse_caps(text: str) -> Caps:
-    """Parse a --caps string like "sign_exhaustive_m=24,factor_n=10".
+    """Parse a --caps string like "sign_exhaustive_m=24,flow_nodes=10000".
     Raises ValueError on an unknown key or a value that is not an integer
     >= 0."""
     caps = Caps()
@@ -177,12 +178,12 @@ def _analyze(g: Graph, seed: int, cfg: RunConfig) -> dict:
 
 
 def _zsf(g: Graph, seed: int, cfg: RunConfig) -> dict:
-    """The flow fields of analyze and zsf records: the values of a flow
-    with bound k, or the basis of its absence, "no_flow_exists" (with the
-    obstruction that proves it) or "exhausted" (the bounded search found
-    none).  Raises ResourceCapError when the search exceeds its node cap."""
+    """The flow fields of analyze and zsf records: the smallest-bound flow up
+    to bound k, or the basis of its absence, "no_flow_exists" (with the
+    obstruction that proves it) or "exhausted" (the climb found none).
+    Raises ResourceCapError when the climb exceeds its node cap."""
     k = cfg.bound
-    flow = find_zero_sum_flow(g, k, node_budget=cfg.caps.flow_nodes)
+    flow = least_bound_flow(g, k, cfg.caps.flow_nodes)
     if flow is not None:
         return {"k": k, "values": list(flow.values), "basis": None}
     obstruction = flow_obstruction(g)
@@ -198,7 +199,8 @@ def _signfind(g: Graph, seed: int, cfg: RunConfig) -> dict:
 
 
 def _weightfind(g: Graph, seed: int, cfg: RunConfig) -> dict:
-    return {"weight": _weight_outcome_dict(find_singular_weight(g, seed=seed))}
+    outcome = find_singular_weight(g, seed=seed, node_budget=cfg.caps.flow_nodes)
+    return {"weight": _weight_outcome_dict(outcome)}
 
 
 def _minrank(g: Graph, seed: int, cfg: RunConfig) -> dict:
@@ -242,7 +244,7 @@ def _check_c22(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
 
 def _check_t31(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
     t = count_factors(g)
-    outcome = find_singular_weight(g, seed=seed)
+    outcome = find_singular_weight(g, seed=seed, node_budget=cfg.caps.flow_nodes)
     detail = {"t": t, "weight": _weight_outcome_dict(outcome)}
     if t == 0:
         ok = outcome.identically_singular and outcome.witness is not None
@@ -264,7 +266,7 @@ def _check_r11(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
 
 
 def _check_r32(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
-    outcome = find_singular_weight(g, seed=seed)
+    outcome = find_singular_weight(g, seed=seed, node_budget=cfg.caps.flow_nodes)
     detail = {"weight": _weight_outcome_dict(outcome)}
     if outcome.route != "flow" or outcome.witness is None:
         detail["applicable"] = False
@@ -279,7 +281,7 @@ def _check_flows(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
         return True, detail
     k = flow_bound(g)
     detail.update(applicable=True, k=k)
-    flow = find_zero_sum_flow(g, k, node_budget=cfg.caps.flow_nodes)
+    flow = least_bound_flow(g, k, cfg.caps.flow_nodes)
     if flow is None:
         detail["values"] = None
         return False, detail

@@ -11,8 +11,9 @@ A singular weighting exists iff the graph has at least two {1,2}-factors:
   certified structurally.
 * t >= 2: a witness is constructed by trying routes in order:
     flow       a zero-sum flow makes the all-ones vector a kernel vector
-               (row sums vanish), giving weights bounded by 5 (bipartite)
-               or 11 (non-bipartite);
+               (row sums vanish): the least-bound flow up to flow_bound
+               bounds weights by 5 (bipartite) or 11 (non-bipartite); a
+               climb that runs out of nodes passes on to the next route;
     algebraic  split into components, drop every edge that lies in no
                factor (it does not occur in the determinant polynomial f),
                then for an edge i on a cycle of every factor, f = x_i * h:
@@ -39,11 +40,10 @@ from .errors import InvalidAssignmentError, ResourceCapError
 from .exact_linalg import adjacency_matrix, det, matrix_at_point
 from .factors import count_factors_at_most, edge_membership, iter_factors
 from .graph_core import Graph, components, delete_edges, induced_subgraph
-from .zero_sum_flow import find_zero_sum_flow, flow_bound, flow_obstruction
+from .zero_sum_flow import DEFAULT_FLOW_NODES, flow_bound, least_bound_flow
 
 ROOT_TRIALS = 200
 TRIAL_MAGNITUDE = 10
-FLOW_NODE_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,12 @@ def verify_weight(g: Graph, w: EdgeAssignment) -> str:
     return "singular" if det(adjacency_matrix(g, w)) == 0 else "full_rank"
 
 
-def find_singular_weight(g: Graph, seed: int = 0) -> WeightSearchOutcome:
+def find_singular_weight(
+    g: Graph, seed: int = 0, node_budget: int = DEFAULT_FLOW_NODES
+) -> WeightSearchOutcome:
     """Find a nowhere-zero integer weighting with singular adjacency matrix,
-    or certify impossibility.  See the module docstring for the routes."""
+    or certify impossibility.  See the module docstring for the routes;
+    node_budget bounds each flow climb."""
     t2 = count_factors_at_most(g, 2)
     if t2 == 0:
         witness = EdgeAssignment((1,) * g.m, "weight")
@@ -97,7 +100,7 @@ def find_singular_weight(g: Graph, seed: int = 0) -> WeightSearchOutcome:
         )
         return WeightSearchOutcome(None, None, reason)
 
-    values, route = _singular_values(g, random.Random(seed))
+    values, route = _singular_values(g, random.Random(seed), node_budget)
     if values is None:
         return WeightSearchOutcome(None, None, None)
     _check_witness(g, values)
@@ -115,23 +118,8 @@ def _f_at(g: Graph, values) -> int:
     return det(matrix_at_point(g, values))
 
 
-def _flow_attempt(g: Graph) -> tuple[int, ...] | None:
-    """Bounded zero-sum flow search, guarded by the exact existence test so
-    it only runs when a flow is known to exist."""
-    if g.m == 0 or flow_obstruction(g) is not None:
-        return None
-    for k in range(2, flow_bound(g) + 1):
-        try:
-            sol = find_zero_sum_flow(g, k, node_budget=FLOW_NODE_BUDGET)
-        except ResourceCapError:
-            continue
-        if sol is not None:
-            return sol.values
-    return None
-
-
 def _singular_values(
-    g: Graph, rng: random.Random
+    g: Graph, rng: random.Random, node_budget: int
 ) -> tuple[tuple[int, ...] | None, str | None]:
     """(values, route) of a witness for a graph with at least two factors,
     or (None, None), by component split, flow, dropping unused edges and a
@@ -144,14 +132,17 @@ def _singular_values(
             sub, _, emap = induced_subgraph(g, comp)
             if count_factors_at_most(sub, 2) < 2:
                 continue
-            rec, _ = _singular_values(sub, rng)
+            rec, _ = _singular_values(sub, rng, node_budget)
             if rec is not None:
                 return _lift(g.m, emap, rec), "algebraic"
         return None, None
 
-    flow_values = _flow_attempt(g)
-    if flow_values is not None:
-        return flow_values, "flow"
+    try:
+        flow = least_bound_flow(g, flow_bound(g), node_budget)
+    except ResourceCapError:
+        flow = None
+    if flow is not None:
+        return flow.values, "flow"
 
     # edges in no factor do not occur in the determinant polynomial: drop
     # them and solve the rest.  No separate split is needed for an edge uv
@@ -163,7 +154,7 @@ def _singular_values(
     unused = [i for i in range(g.m) if not prof.present(i)]
     if unused:
         sub, emap = delete_edges(g, unused)
-        rec, _ = _singular_values(sub, rng)
+        rec, _ = _singular_values(sub, rng, node_budget)
         return (None, None) if rec is None else (_lift(g.m, emap, rec), "algebraic")
 
     # Edge i below exists whenever g has no zero-sum flow.  Each factor F

@@ -33,9 +33,13 @@ k-1 either way, must be able to bring it back to 0.  (Once none is open, the
 edges left to search form a bipartite graph, which needs exactly this; the
 parity that a non-bipartite rest would need always holds.)  Every flow meets
 the condition, so it cuts only branches with no flow, and the branches kept
-are tried in the same order: the first flow found, every witness and every
-report byte stay the same, reached in fewer nodes (a search that hit its
-node budget may now answer).
+are tried in the same order: the first flow found is the same, in fewer
+nodes.
+
+Callers get their flows from one climb, `least_bound_flow`: the solver at
+k = 2, 3, ... up to a bound, under one node budget, returning the first flow
+of the smallest bound that has one.  Its progress is kept with the graph, so
+an analyze record's weight search and flow block climb once between them.
 
 The structural test `flow_exists_nonbipartite_test` (a connected
 non-bipartite graph has a flow iff removing any single edge leaves no
@@ -54,6 +58,8 @@ from .assignments import EdgeAssignment
 from .errors import InvalidAssignmentError, PreconditionError, ResourceCapError
 from .graph_core import (
     Graph, bipartition, components, forest_parity, is_bipartite, spanning_forest)
+
+DEFAULT_FLOW_NODES = 2_000_000  # a weight search's flow climb, and the flow_nodes cap
 
 
 class FlowObstruction(NamedTuple):
@@ -151,30 +157,47 @@ def flow_exists_nonbipartite_test(g: Graph) -> bool:
 def find_zero_sum_flow(
     g: Graph, k: int, node_budget: int | None = None
 ) -> EdgeAssignment | None:
-    """Find a zero-sum flow with values in {+-1, ..., +-(k-1)}, or prove
-    there is none within that bound.
-
-    Returns None at once when flow_obstruction proves that no flow exists,
-    or when k = 2 and some vertex has odd degree (an odd number of +-1
-    values has an odd sum), and otherwise only after a complete search, so
-    absence is certified.  A node_budget caps the number of value
-    assignments explored; exceeding it raises ResourceCapError (never a
-    false "none").  Each component is searched in turn, on g itself, and the
-    first with no flow ends the search.
-    """
+    """The first zero-sum flow with values in {+-1, ..., +-(k-1)}, or None
+    when flow_obstruction proves there is none, when k = 2 and some vertex
+    has odd degree, or after a complete search: absence is certified.  More
+    than node_budget value assignments raise ResourceCapError (never a
+    false "none").  Components are searched in turn, on g itself."""
     if k < 2:
         raise PreconditionError("flow bound k must be >= 2")
+    return _search(g, k, -1 if node_budget is None else node_budget)[0]
+
+
+def least_bound_flow(g: Graph, bound: int, node_budget: int) -> EdgeAssignment | None:
+    """find_zero_sum_flow's flow at the smallest k = 2, ..., bound that has
+    one, or None after a complete search at bound, so absence is certified.
+    All bounds share node_budget; running out raises ResourceCapError.  The
+    bounds searched in full are kept in the graph's instance dict: a later
+    call resumes after them, with its own budget."""
+    if bound < 2:
+        raise PreconditionError("flow bound must be >= 2")
+    cache = vars(g)
+    # bounds below k have no flow; flow is k's, or None if k is not searched
+    k, flow = cache.get("_flow_climb", (2, None))
+    while flow is None and k <= bound:
+        flow, node_budget = _search(g, k, node_budget)
+        if flow is None:
+            k += 1
+        cache["_flow_climb"] = k, flow
+    return flow if k <= bound else None
+
+
+def _search(g: Graph, k: int, budget: int) -> tuple[EdgeAssignment | None, int]:
+    """find_zero_sum_flow's answer at k, and what is left of budget."""
     if k == 2 and any(g.degree(v) % 2 for v in range(g.n)):
-        return None
+        return None, budget
     if flow_obstruction(g) is not None:
-        return None
+        return None, budget
     orders, tilt = _search_plan(g)
     values = [0] * g.m
     undecided = [g.degree(v) for v in range(g.n)]
     partial = [0] * g.n
-    budget = node_budget if node_budget is not None else -1
     limit = k - 1
-    vals = _value_order(k)
+    vals = tuple(x for v in range(1, k) for x in (v, -v))
     # the balance of the component being searched (half its signed partial
     # sum) and how many of its tilted edges are still undecided
     balance = tilted = 0
@@ -186,8 +209,8 @@ def find_zero_sum_flow(
 
     def assign(eidx: int, val: int, trail: list[int]) -> bool:
         """Set one edge and run forcing to a fixed point.  Records every set
-        edge on the trail; returns False on contradiction.  A budget below 0
-        means unlimited; otherwise it is decremented per assignment."""
+        edge on the trail; returns False on contradiction.  The budget is
+        decremented per assignment; one below 0 never runs out."""
         nonlocal budget, balance, tilted
         queue = [(eidx, val)]
         while queue:
@@ -199,8 +222,7 @@ def find_zero_sum_flow(
                 continue
             if budget == 0:
                 raise ResourceCapError("zero-sum flow search exceeded its node budget")
-            if budget > 0:
-                budget -= 1
+            budget -= 1
             values[e] = x
             trail.append(e)
             # update both endpoints and the balance before any check so undo
@@ -257,7 +279,7 @@ def find_zero_sum_flow(
                 break
             if vi == len(vals):
                 if not frames:
-                    return None
+                    return None, budget
                 pos, vi, trail = frames.pop()
                 undo(trail)
                 vi += 1
@@ -269,7 +291,7 @@ def find_zero_sum_flow(
             else:
                 undo(trail)
                 vi += 1
-    return EdgeAssignment(tuple(values), "flow")
+    return EdgeAssignment(tuple(values), "flow"), budget
 
 
 def _search_plan(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -307,11 +329,3 @@ def verify_flow(g: Graph, f: EdgeAssignment) -> bool:
 def flow_bound(g: Graph) -> int:
     """Observed zero-sum k-flow bound: 6 when g is bipartite, else 12."""
     return 6 if is_bipartite(g) else 12
-
-
-def _value_order(k: int) -> tuple[int, ...]:
-    out = []
-    for v in range(1, k):
-        out.append(v)
-        out.append(-v)
-    return tuple(out)

@@ -22,7 +22,7 @@ from signrank.harness import (
     pool_size,
     run,
 )
-from signrank.weight_search import WeightSearchOutcome, verify_weight
+from signrank.weight_search import verify_weight
 from signrank.zero_sum_flow import verify_flow
 
 from conftest import DATA, chain_of_4_cycles, complete, cycle, grid, path, petersen
@@ -115,18 +115,22 @@ class TestAnalyze:
         assert k3["flow"]["basis"] == "no_flow_exists" and k3["flow"]["values"] is None
         assert set(k3["flow"]["obstruction"]) == {"edge", "y", "d"}
 
-    def test_flow_cap_marks_only_the_flow_block(self):
-        # a node budget of 0 stops the bounded search on C4, which has a flow;
-        # the record keeps every other answer and the run is not sunk
+    def test_flow_cap_bounds_every_flow_search(self):
+        # a node budget of 0 stops both flow climbs on C4, which has a flow:
+        # the flow block's, and the weight search's, which no other route
+        # answers on a graph with a flow; the record keeps its other answers
+        # and the run is not sunk
         report, summary = run(
             [cycle(4), complete(3)], RunConfig(command="analyze", caps=Caps(flow_nodes=0)))
         _, (c4, k3), _ = parse_report(report)
         assert summary["skip"] == 0 and c4["status"] == "ok"
         assert c4["flow"]["values"] is None and c4["flow"]["basis"] is None
         assert "node budget" in c4["flow"]["skipped"]
-        assert c4["weight"]["witness"] is not None
+        assert c4["weight"]["witness"] is None and c4["weight"]["route"] is None
+        assert c4["sign"]["witness"] is not None
         # absence is decided before any search, so the cap cannot hide it
         assert k3["flow"]["basis"] == "no_flow_exists"
+        assert k3["weight"]["certificate_impossible"] is not None
 
     def test_skipped_block_counts_as_partial(self):
         # the record stays ok, but the summary and the exit code show that
@@ -140,16 +144,15 @@ class TestAnalyze:
 
 class TestInconclusiveWeight:
     """A weight search that ends with neither a witness nor a certificate
-    leaves the record ok, but counts it as partial."""
+    leaves the record ok, but counts it as partial.  A flow_nodes cap of 0
+    gives one on C4: its flow climb stops at once, and no other route
+    answers a graph with a flow."""
 
-    @pytest.fixture
-    def inconclusive(self, monkeypatch):
-        monkeypatch.setattr(harness, "find_singular_weight",
-                            lambda g, seed=0: WeightSearchOutcome(None, None, None))
+    CAPS = Caps(flow_nodes=0)
 
     @pytest.mark.parametrize("command", ["weightfind", "analyze"])
-    def test_counts_as_partial(self, inconclusive, command):
-        report, summary = run([cycle(4)], RunConfig(command=command))
+    def test_counts_as_partial(self, command):
+        report, summary = run([cycle(4)], RunConfig(command=command, caps=self.CAPS))
         _, (rec,), _ = parse_report(report)
         assert rec["status"] == "ok"
         assert rec["weight"]["witness"] is None and rec["weight"]["route"] is None
@@ -157,10 +160,11 @@ class TestInconclusiveWeight:
         assert exit_code(summary) == 3
         assert exit_code(summary, allow_skips=True) == 0
 
-    def test_verify_r32_passes_as_partial(self, inconclusive):
+    def test_verify_r32_passes_as_partial(self):
         # r32 has no flow route witness to check: the record passes, and the
         # summary shows the missing answer
-        report, summary = run([cycle(4)], RunConfig(command="verify", theorem="r32"))
+        report, summary = run(
+            [cycle(4)], RunConfig(command="verify", theorem="r32", caps=self.CAPS))
         _, (rec,), _ = parse_report(report)
         assert rec["status"] == "pass" and rec["check"]["applicable"] is False
         assert rec["check"]["weight"]["witness"] is None
@@ -168,27 +172,32 @@ class TestInconclusiveWeight:
         assert exit_code(summary) == 3
         assert exit_code(summary, allow_skips=True) == 0
 
-    def test_verify_t31_fails(self, inconclusive):
+    def test_verify_t31_fails(self):
         # C4 has two factors, so t31 needs a witness: the record fails
-        report, summary = run([cycle(4)], RunConfig(command="verify", theorem="t31"))
+        report, summary = run(
+            [cycle(4)], RunConfig(command="verify", theorem="t31", caps=self.CAPS))
         _, (rec,), _ = parse_report(report)
         assert rec["status"] == "fail" and rec["check"]["weight"]["witness"] is None
         assert summary == {"records": 1, "pass": 0, "fail": 1, "skip": 0, "partial": 0}
         assert exit_code(summary, allow_skips=True) == 1
 
     @pytest.mark.parametrize("theorem, code", [("r32", 3), ("t31", 1)])
-    def test_cli_verify_exit_code(self, inconclusive, tmp_path, capsys, theorem, code):
+    def test_cli_verify_exit_code(self, tmp_path, capsys, theorem, code):
         corpus = tmp_path / "c4.g6"
         corpus.write_text(C4_G6 + "\n")
-        assert cli.main(["verify", theorem, str(corpus)]) == code
+        assert cli.main(["verify", theorem, str(corpus), "--caps", "flow_nodes=0"]) == code
 
-    def test_cli_exit_code(self, inconclusive, tmp_path, capsys):
+    def test_cli_exit_code(self, tmp_path, capsys):
+        # --caps flow_nodes bounds the weight search
         corpus = tmp_path / "c4.g6"
         corpus.write_text(C4_G6 + "\n")
-        assert cli.main(["weightfind", str(corpus)]) == 3
+        assert cli.main(["weightfind", str(corpus)]) == 0
+        capsys.readouterr()
+        assert cli.main(["weightfind", str(corpus), "--caps", "flow_nodes=0"]) == 3
         _, _, summary = parse_report(capsys.readouterr().out)
         assert summary["partial"] == 1
-        assert cli.main(["weightfind", str(corpus), "--allow-skips"]) == 0
+        assert cli.main(["weightfind", str(corpus), "--caps", "flow_nodes=0",
+                         "--allow-skips"]) == 0
 
     def test_complete_answers_are_not_partial(self):
         # t = 1 gets a certificate instead of a witness; an edgeless graph's
@@ -253,6 +262,26 @@ class TestFlowEliminations:
         run(graphs, RunConfig(command="verify", theorem="flows"))
         assert any(g is graphs[1] for g in eliminated)
         assert len({id(g) for g in eliminated}) == len(eliminated)
+
+    @pytest.mark.parametrize("bound", [2, 6])
+    def test_one_search_per_graph_and_bound(self, monkeypatch, bound):
+        # the weight search climbs to flow_bound and the flow block to
+        # --bound: the block reuses the bounds the weight search passed, so
+        # no graph is searched twice at one k (graphs in graph6 edge order
+        # are run as they are, and kept, so no id is reused)
+        searched = []
+        original = zero_sum_flow._search
+
+        def counting(g, k, budget):
+            searched.append((g, k))
+            return original(g, k, budget)
+
+        monkeypatch.setattr(zero_sum_flow, "_search", counting)
+        graphs = [parse_graph6(encode_graph6(g)) for g in (
+            cycle(4), complete(4), complete(5), petersen(), parse_graph6("FF~]o"))]
+        run(graphs, RunConfig(command="analyze", bound=bound))
+        assert {id(g) for g, _ in searched} == {id(g) for g in graphs}
+        assert len({(id(g), k) for g, k in searched}) == len(searched)
 
 
 class TestSkipRecords:
@@ -342,6 +371,15 @@ class TestVerifyCommand:
         graphs = load_corpus(CORPUS, "graph6")
         report, summary = run(graphs, RunConfig(command="verify", theorem=theorem))
         assert summary == {"records": 3, "pass": 3, "fail": 0, "skip": 0, "partial": 0}
+
+    def test_flows_climb_on_order_8(self):
+        # two order-8 graphs on which a direct search at k = 12 takes about
+        # 2 s and finds values up to 5 and 4: the climb stops at k = 3 and 4
+        graphs = [parse_graph6(g6) for g6 in ("GheoZk", "GheLfg")]
+        report, summary = run(graphs, RunConfig(command="verify", theorem="flows"))
+        _, records, _ = parse_report(report)
+        assert summary["pass"] == 2
+        assert [max(map(abs, r["check"]["values"])) for r in records] == [2, 3]
 
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):

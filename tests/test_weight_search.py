@@ -7,7 +7,7 @@ from signrank.assignments import EdgeAssignment
 from signrank.errors import InvalidAssignmentError
 from signrank.exact_linalg import adjacency_matrix, det
 from signrank.factors import count_factors, count_factors_at_most
-from signrank.graph_core import Graph, components
+from signrank.graph_core import Graph, components, parse_graph6
 from signrank.weight_search import find_singular_weight, verify_weight
 from signrank.zero_sum_flow import flow_exists_nonbipartite_test, flow_obstruction
 
@@ -61,6 +61,14 @@ class TestWitnesses:
         out = find_singular_weight(g, seed=3)
         assert out.witness is not None
         assert out.route == "algebraic"
+        assert verify_weight(g, out.witness) == "singular"
+
+    def test_flow_climb_answers_a_dense_graph(self):
+        # n = 12, m = 49, t = 1,402,457: the climb to flow_bound finds a
+        # 3-flow within its one node budget
+        g = parse_graph6("KzMj]z|~Qz~{")
+        out = find_singular_weight(g)
+        assert out.route == "flow" and out.witness.max_abs() == 2
         assert verify_weight(g, out.witness) == "singular"
 
     def test_disconnected_component_witness(self):

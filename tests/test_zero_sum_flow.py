@@ -14,6 +14,7 @@ from signrank.zero_sum_flow import (
     flow_bound,
     flow_exists_nonbipartite_test,
     flow_obstruction,
+    least_bound_flow,
     verify_flow,
     verify_obstruction,
 )
@@ -252,10 +253,38 @@ class TestSolver:
     def test_k_below_two_rejected(self):
         with pytest.raises(PreconditionError):
             find_zero_sum_flow(cycle(4), 1)
+        with pytest.raises(PreconditionError):
+            least_bound_flow(cycle(4), 1, node_budget=100)
 
     def test_budget_raises(self):
         with pytest.raises(ResourceCapError):
             find_zero_sum_flow(complete(6), 6, node_budget=0)
+
+    def test_climb_shares_one_budget(self):
+        # alone, k = 2 takes 68 nodes to find no flow and k = 3 takes 25 to
+        # find one: 68 covers either bound, and the climb to 3 needs 93
+        g = parse_graph6("FF~]o")
+        assert find_zero_sum_flow(g, 2, node_budget=68) is None
+        flow = find_zero_sum_flow(g, 3, node_budget=25)
+        assert flow is not None
+        for k, nodes in ((2, 68), (3, 25)):
+            with pytest.raises(ResourceCapError):
+                find_zero_sum_flow(g, k, node_budget=nodes - 1)
+        # the climb keeps its progress with the graph: each climb gets its own
+        with pytest.raises(ResourceCapError):
+            least_bound_flow(parse_graph6("FF~]o"), 3, node_budget=92)
+        assert least_bound_flow(parse_graph6("FF~]o"), 3, node_budget=93) == flow
+
+    def test_climb_resumes_from_the_graph(self):
+        # a climb stopped at k = 3 has searched k = 2 in full: a bound of 2
+        # needs no node, and k = 3 only its own 25
+        g = parse_graph6("FF~]o")
+        with pytest.raises(ResourceCapError):
+            least_bound_flow(g, 3, node_budget=92)
+        assert least_bound_flow(g, 2, node_budget=0) is None
+        flow = least_bound_flow(g, 3, node_budget=25)
+        assert flow == find_zero_sum_flow(g, 3)
+        assert least_bound_flow(g, 12, node_budget=0) == flow
 
     def test_flow_puts_ones_vector_in_kernel(self):
         flow = find_zero_sum_flow(cycle(6), 3)
@@ -293,7 +322,8 @@ class TestSolver:
 class TestAgainstReference:
     """The search with the parity shortcut and the balance condition against
     reference_flow, which has neither: the same flows and the same "none",
-    under a budget that neither search reaches."""
+    under a budget that neither search reaches; and the climb's flow against
+    the reference's at the smallest bound that has one."""
 
     BUDGET = 10**6
 
@@ -302,9 +332,13 @@ class TestAgainstReference:
         for g in request.getfixturevalue(corpus):
             if g.m == 0 or flow_obstruction(g) is not None:
                 continue
+            least = None
             for k in range(2, flow_bound(g) + 1):
                 found = find_zero_sum_flow(g, k, node_budget=self.BUDGET)
-                assert (found and found.values) == reference_flow(g, k, self.BUDGET)
+                reference = reference_flow(g, k, self.BUDGET)
+                assert (found and found.values) == reference
+                least = least or reference
+            assert least_bound_flow(g, flow_bound(g), self.BUDGET).values == least
 
     def test_random_gnp_climb(self):
         # the bounds a weight search climbs: 2, 3, ... up to the first flow
