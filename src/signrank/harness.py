@@ -141,7 +141,7 @@ def _base_record(index: int, g: Graph) -> dict:
 
 def _sign_outcome_dict(outcome) -> dict:
     return {
-        "witness": list(outcome.witness.values) if outcome.witness else None,
+        "witness": list(outcome.witness.values) if outcome.witness is not None else None,
         "method": outcome.method,
         "attempts": outcome.attempts,
         "certified_none": outcome.certified_none,
@@ -151,11 +151,11 @@ def _sign_outcome_dict(outcome) -> dict:
 
 def _weight_outcome_dict(outcome) -> dict:
     return {
-        "witness": list(outcome.witness.values) if outcome.witness else None,
+        "witness": list(outcome.witness.values) if outcome.witness is not None else None,
         "route": outcome.route,
         "certificate_impossible": outcome.certificate_impossible,
         "identically_singular": outcome.identically_singular,
-        "max_abs_weight": outcome.witness.max_abs() if outcome.witness else None,
+        "max_abs_weight": outcome.witness.max_abs() if outcome.witness is not None else None,
     }
 
 
@@ -410,7 +410,7 @@ def _is_partial(rec: dict) -> bool:
     """An ok record with a block whose answer was skipped at a cap, or an ok
     or pass record with an inconclusive weight search: no witness, no
     certificate of impossibility, and not identically singular (an edgeless
-    graph's vacuous witness is the empty list, written as null)."""
+    graph's vacuous witness is the empty list)."""
     if rec.get("status") not in ("ok", "pass"):
         return False
     weight = rec.get("weight") or rec.get("check", {}).get("weight")

@@ -201,13 +201,25 @@ class TestInconclusiveWeight:
 
     def test_complete_answers_are_not_partial(self):
         # t = 1 gets a certificate instead of a witness; an edgeless graph's
-        # vacuous witness is written as null
+        # vacuous witness is the empty list
         report, summary = run([complete(3), Graph(2, ())], RunConfig(command="weightfind"))
         _, (k3, edgeless), _ = parse_report(report)
         assert k3["weight"]["certificate_impossible"] is not None
-        assert edgeless["weight"]["witness"] is None
+        assert edgeless["weight"]["witness"] == []
+        assert edgeless["weight"]["max_abs_weight"] == 0
         assert edgeless["weight"]["identically_singular"]
         assert summary["partial"] == 0
+
+    @pytest.mark.parametrize("command, g6, block", [
+        ("signfind", "?", "sign"), ("weightfind", "B?", "weight")])
+    def test_empty_witness_is_written(self, tmp_path, capsys, command, g6, block):
+        # the empty graph's full-rank sign and an edgeless graph's singular
+        # weighting are the empty assignment, written as [], not null
+        corpus = tmp_path / "edgeless.g6"
+        corpus.write_text(g6 + "\n")
+        assert cli.main([command, str(corpus)]) == 0
+        _, (rec,), _ = parse_report(capsys.readouterr().out)
+        assert rec[block]["witness"] == []
 
 
 class TestFactorTableRelease:
