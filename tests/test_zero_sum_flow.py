@@ -270,7 +270,8 @@ class TestSolver:
         for k, nodes in ((2, 68), (3, 25)):
             with pytest.raises(ResourceCapError):
                 find_zero_sum_flow(g, k, node_budget=nodes - 1)
-        # the climb keeps its progress with the graph: each climb gets its own
+        # a climb keeps its progress with the graph, so each climb here gets
+        # a graph of its own
         with pytest.raises(ResourceCapError):
             least_bound_flow(parse_graph6("FF~]o"), 3, node_budget=92)
         assert least_bound_flow(parse_graph6("FF~]o"), 3, node_budget=93) == flow
