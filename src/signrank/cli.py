@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .errors import GraphParseError, SignRankError
-from .harness import THEOREM_TAGS, RunConfig, exit_code, load_corpus, parse_caps, run
+from .harness import (
+    THEOREM_TAGS, RunConfig, exit_code, load_corpus, parse_caps, write_report)
 
 _THEOREM_HELP = (
     "t21: full-rank signing exists iff full perrank; "
@@ -111,19 +113,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         graphs = load_corpus(text, args.format)
-        report, summary = run(graphs, cfg)
     except GraphParseError as exc:
         print(f"signrank: parse error: {exc}", file=sys.stderr)
         return 2
+    try:
+        with (open(args.output, "w") if args.output else nullcontext(sys.stdout)) as out:
+            def write(line: str) -> None:
+                out.write(line)
+                out.flush()
+
+            summary = write_report(graphs, cfg, write)
     except SignRankError as exc:
         print(f"signrank: {exc}", file=sys.stderr)
         return 3
-    try:
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(report)
-        else:
-            sys.stdout.write(report)
     except OSError as exc:
         print(f"signrank: cannot write output: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ arbitrary precision, so nothing overflows.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Union
 
 from .assignments import EdgeAssignment
@@ -101,24 +102,25 @@ def rank(m: Rows) -> int:
 
 
 def permanent(m: Rows) -> int:
-    """Exact permanent via Ryser's inclusion-exclusion formula."""
+    """Exact permanent via Ryser's inclusion-exclusion formula, walking the
+    column subsets in Gray-code order: each step adds or removes one column
+    from the running row sums, O(2^n n) in all."""
     n = _order(m, "permanent")
     if n == 0:
         return 1
+    cols = list(zip(*m))
+    sums = [0] * n
+    subset = 0
     total = 0
-    for mask in range(1, 1 << n):
-        cols = [j for j in range(n) if mask >> j & 1]
-        prod = 1
-        for i in range(n):
-            s = 0
-            row = m[i]
-            for j in cols:
-                s += row[j]
-            prod *= s
-            if prod == 0:
-                break
-        if prod:
-            total += prod if len(cols) % 2 == 0 else -prod
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1       # the bit that flips at step k
+        subset ^= 1 << j
+        if subset >> j & 1:
+            sums = [s + x for s, x in zip(sums, cols[j])]
+        else:
+            sums = [s - x for s, x in zip(sums, cols[j])]
+        # each step changes the subset's size by one: it is odd at odd k
+        total += -math.prod(sums) if k & 1 else math.prod(sums)
     return total if n % 2 == 0 else -total
 
 

@@ -375,8 +375,17 @@ def perrank_fast(g: Graph) -> int:
     The double cover has two copies of V with edges u1-v2 and v1-u2 for each
     edge uv; its maximum matching size equals the largest number of vertices
     coverable by disjoint K2s and cycles.  This identity is validated against
-    perrank_bruteforce exhaustively in the test suite (all n <= 7).
+    perrank_bruteforce exhaustively in the test suite (all n <= 7).  Kept
+    with the graph, so has_factor and every caller on it share one matching.
     """
+    cache = vars(g)
+    if "_perrank" not in cache:
+        cache["_perrank"] = _double_cover_matching(g)
+    return cache["_perrank"]
+
+
+def _double_cover_matching(g: Graph) -> int:
+    """Size of a maximum matching of g's bipartite double cover."""
     n = g.n
     adj = g._adjacency
     match_right: list[int] = [-1] * n

@@ -8,6 +8,10 @@ Report format (JSON lines, diffable and streamable):
     last line   {"summary": {"records": N, "pass": P, "fail": F, "skip": S,
                              "partial": Q}}
 
+write_report hands over each line as soon as it is made (a pool's records
+still in input order; the summary from running counts), so a run that stops
+early has written the header and every record finished before it.
+
 "partial" counts records with status "ok" in which a block carries
 "skipped" (an analyze record whose sign or flow step hit its cap), and
 records with status "ok" or "pass" whose weight search was inconclusive (an
@@ -16,8 +20,9 @@ analyze or weightfind "weight" block, or a verify r32 "check" block's
 identically_singular; r32 passes such a graph only because it has no flow
 route witness to check, and t31 fails it).
 
-Objects are serialized with sorted keys and no whitespace, so two runs with
-identical inputs, seed and configuration produce byte-identical reports.
+Objects are serialized with sorted keys and no whitespace, by one shared
+encoder, so two runs with identical inputs, seed and configuration produce
+byte-identical reports.
 Per-record wall-clock timings are only included when explicitly requested,
 because they would break that reproducibility.
 
@@ -38,12 +43,22 @@ Checks (cmd_verify tags):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
+
+try:
+    # the interpreter's own SHA-256, as the random module takes its SHA-512:
+    # hashlib would load OpenSSL (about 3.6 MB resident) for two short
+    # digests a record
+    from _sha2 import sha256            # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.11 and before
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .errors import GraphParseError, ResourceCapError
@@ -110,7 +125,7 @@ def parse_caps(text: str) -> Caps:
 
 def graph_seed(master: int, index: int) -> int:
     """Stable per-graph seed, independent of worker count and platform."""
-    digest = hashlib.sha256(f"{master}:{index}".encode()).digest()
+    digest = sha256(f"{master}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -135,7 +150,7 @@ def load_corpus(text: str, fmt: str) -> list[Graph]:
 
 def _base_record(index: int, g: Graph) -> dict:
     g6 = encode_graph6(g)
-    gid = f"{index}:{hashlib.sha256(g6.encode()).hexdigest()[:12]}"
+    gid = f"{index}:{sha256(g6.encode()).hexdigest()[:12]}"
     return {"record": index, "id": gid, "g6": g6, "n": g.n, "m": g.m}
 
 
@@ -352,6 +367,16 @@ def _record(command: str, index: int, g: Graph, cfg: RunConfig) -> dict:
 
 def run(graphs: Iterable[Graph], cfg: RunConfig) -> tuple[str, dict]:
     """Run one command over a corpus.  Returns (report_text, summary)."""
+    lines: list[str] = []
+    summary = write_report(graphs, cfg, lines.append)
+    return "".join(lines), summary
+
+
+def write_report(graphs: Iterable[Graph], cfg: RunConfig,
+                 write: Callable[[str], object]) -> dict:
+    """Run one command over a corpus, passing each report line (newline
+    included) to write as soon as it is made: the header, each record in
+    input order as it finishes, then the summary.  Returns the summary."""
     # a graph whose edges are out of graph6 order is rebuilt in it, so that
     # every witness indexes the edges of the record's own g6 (which a pool
     # worker re-parses)
@@ -363,6 +388,19 @@ def run(graphs: Iterable[Graph], cfg: RunConfig) -> tuple[str, dict]:
         raise ValueError(f"unknown theorem tag {cfg.theorem!r}")
     if cfg.bound < 2:
         raise ValueError(f"flow bound must be at least 2, got {cfg.bound}")
+    write(_dumps({"signrank_report": 1, "version": __version__, "command": cfg.command,
+                  "theorem": cfg.theorem, "seed": cfg.seed, "bound": cfg.bound,
+                  "caps": vars(cfg.caps)}) + "\n")
+    summary = {"records": 0, "pass": 0, "fail": 0, "skip": 0, "partial": 0}
+
+    def emit(rec: dict) -> None:
+        write(_dumps(rec) + "\n")
+        summary["records"] += 1
+        if rec["status"] != "ok":
+            summary[rec["status"]] += 1
+        if _is_partial(rec):
+            summary["partial"] += 1
+
     workers = pool_size(cfg.jobs, len(graphs))
     if workers > 1:
         # imported here: a single-process run does not pay multiprocessing's
@@ -370,40 +408,27 @@ def run(graphs: Iterable[Graph], cfg: RunConfig) -> tuple[str, dict]:
         from multiprocessing import Pool
 
         tasks = [(cfg.command, i, encode_graph6(g), cfg) for i, g in enumerate(graphs)]
+        # ordered, in the chunks Pool.map would send
         with Pool(workers) as pool:
-            records = pool.map(_worker, tasks)
+            for rec in pool.imap(_worker, tasks, chunksize=-(-len(tasks) // (4 * workers))):
+                emit(rec)
     else:
-        records = [_record(cfg.command, i, g, cfg) for i, g in enumerate(graphs)]
-    summary = {
-        "records": len(records),
-        "pass": sum(1 for r in records if r.get("status") == "pass"),
-        "fail": sum(1 for r in records if r.get("status") == "fail"),
-        "skip": sum(1 for r in records if r.get("status") == "skip"),
-        "partial": sum(1 for r in records if _is_partial(r)),
-    }
-    header = {
-        "signrank_report": 1,
-        "version": __version__,
-        "command": cfg.command,
-        "theorem": cfg.theorem,
-        "seed": cfg.seed,
-        "bound": cfg.bound,
-        "caps": vars(cfg.caps),
-    }
-    lines = [_dumps(header)]
-    lines.extend(_dumps(r) for r in records)
-    lines.append(_dumps({"summary": summary}))
-    return "\n".join(lines) + "\n", summary
+        for i, g in enumerate(graphs):
+            emit(_record(cfg.command, i, g, cfg))
+    write(_dumps({"summary": summary}) + "\n")
+    return summary
 
 
 def pool_size(jobs: int, tasks: int) -> int:
     """Worker processes for a run: never more than the requested jobs, the
-    graphs to process or the CPUs present."""
-    return min(jobs, tasks, os.cpu_count() or 1)
+    graphs to process or the CPUs present (not asked for one worker)."""
+    size = min(jobs, tasks)
+    return size if size <= 1 else min(size, os.cpu_count() or 1)
 
 
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# one encoder for every line: json.dumps with these arguments builds a new
+# one per call, and writes the same bytes
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _is_partial(rec: dict) -> bool:

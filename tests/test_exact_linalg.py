@@ -159,6 +159,31 @@ class TestPermanent:
             n = rng.randint(0, 5)
             m = random_matrix(rng, n, lo=-4, hi=4)
             assert permanent(m) == perm_by_permutations(m)
+        for n in (6, 7):
+            for _ in range(4):
+                m = random_matrix(rng, n, lo=-4, hi=4)
+                assert permanent(m) == perm_by_permutations(m)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_zero_rows_and_columns(self, n):
+        # the Gray-code walk passes through every column subset, so a zero
+        # line must cancel out over all of them
+        rng = random.Random(n)
+        for _ in range(3):
+            m = random_matrix(rng, n, lo=-3, hi=3)
+            i = rng.randrange(n)
+            rows = [row[:] for row in m]
+            rows[i] = [0] * n
+            cols = [[0 if j == i else x for j, x in enumerate(row)] for row in m]
+            assert permanent(rows) == perm_by_permutations(rows) == 0
+            assert permanent(cols) == perm_by_permutations(cols) == 0
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_sparse_sign_matrices(self, n):
+        rng = random.Random(10 + n)
+        for _ in range(4):
+            m = [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(n)]
+            assert permanent(m) == perm_by_permutations(m)
 
 
 class TestRowsUnchanged:

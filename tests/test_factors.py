@@ -342,6 +342,17 @@ class TestPerrank:
         assert perrank_fast(g) == 10
         assert perrank_bruteforce(g) == 10
 
+    def test_has_factor_and_perrank_agree_in_either_order(self, corpus_le5):
+        # both read one cached matching: whichever runs first fills it
+        for g in corpus_le5:
+            expected = perrank_bruteforce(Graph(g.n, g.edges))
+            first = Graph(g.n, g.edges)
+            assert has_factor(first) == (expected == g.n)
+            assert perrank_fast(first) == expected
+            second = Graph(g.n, g.edges)
+            assert perrank_fast(second) == expected
+            assert has_factor(second) == (expected == g.n)
+
     def test_long_path_and_cycle(self):
         # the odd cycle leaves an augmenting path of about n/2 steps after
         # the greedy start, deeper than the default recursion limit

@@ -11,7 +11,7 @@ from signrank.assignments import EdgeAssignment
 from signrank.errors import GraphParseError
 from signrank.exact_linalg import adjacency_matrix, det
 from signrank.graph_core import Graph, encode_graph6, parse_graph6
-from signrank import cli, harness, zero_sum_flow
+from signrank import cli, factors, harness, zero_sum_flow
 from signrank.harness import (
     Caps,
     RunConfig,
@@ -296,6 +296,26 @@ class TestFlowEliminations:
         assert len({(id(g), k) for g, k in searched}) == len(searched)
 
 
+class TestDoubleCoverMatchings:
+    @pytest.mark.parametrize("command, theorem", [
+        ("analyze", None), ("verify", "t21"), ("verify", "c22")])
+    def test_one_matching_per_graph(self, monkeypatch, command, theorem):
+        # perrank, full_perrank and the sign search's factor gate all read
+        # one double-cover matching per graph
+        matched = []
+        original = factors._double_cover_matching
+
+        def counting(g):
+            matched.append(id(g))
+            return original(g)
+
+        monkeypatch.setattr(factors, "_double_cover_matching", counting)
+        graphs = [parse_graph6(encode_graph6(g)) for g in (
+            cycle(4), path(3), complete(5), petersen(), parse_graph6("FF~]o"))]
+        run(graphs, RunConfig(command=command, theorem=theorem))
+        assert sorted(matched) == sorted(id(g) for g in graphs)
+
+
 class TestSkipRecords:
     @pytest.mark.parametrize(
         "command, theorem", [("analyze", None), ("verify", "t21"), ("verify", "t31"),
@@ -456,6 +476,18 @@ class TestDeterminism:
         _, records, _ = parse_report(report)
         assert [r["record"] for r in records] == [0, 1, 2]
         assert [r["g6"] for r in records] == [C4_G6, P3_G6, K3_G6]
+
+
+class TestFootprint:
+    def test_harness_does_not_load_hashlib(self):
+        # record ids and graph seeds use the interpreter's own SHA-256;
+        # hashlib would load OpenSSL, several MB resident, for them
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, signrank.cli; print('hashlib' in sys.modules)"],
+            capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
 
 class TestReportDigests:
@@ -650,6 +682,45 @@ class TestCli:
         res = run_cli(["analyze", "-", "--output", str(out)], stdin=C4_G6 + "\n")
         assert res.returncode == 0
         assert out.read_text().startswith("{")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_streamed_output_equals_run(self, tmp_path, capsys, jobs):
+        # the CLI writes each line as it comes; the bytes are run()'s
+        graphs = [complete(4), cycle(5), path(4), petersen(), grid(2, 3), complete(3),
+                  cycle(6), chain_of_4_cycles(2), path(2), cycle(4)]
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+        expected, _ = run(load_corpus(corpus.read_text(), "graph6"),
+                          RunConfig(command="analyze", seed=4))
+        assert cli.main(["analyze", str(corpus), "--seed", "4", "--jobs", jobs]) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "report.jsonl"
+        assert cli.main(["analyze", str(corpus), "--seed", "4", "--jobs", jobs,
+                         "--output", str(out)]) == 0
+        assert out.read_text() == expected
+
+    def test_interrupted_run_keeps_finished_records(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text(CORPUS + encode_graph6(complete(5)) + "\n")
+        full, _ = run(load_corpus(corpus.read_text(), "graph6"), RunConfig(command="perrank"))
+        perrank = harness._COMMANDS["perrank"]
+        calls = []
+
+        def third_raises(g, seed, cfg):
+            calls.append(g)
+            if len(calls) == 3:
+                raise RuntimeError("interrupted")
+            return perrank(g, seed, cfg)
+
+        monkeypatch.setitem(harness._COMMANDS, "perrank", third_raises)
+        out = tmp_path / "report.jsonl"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            cli.main(["perrank", str(corpus), "--output", str(out)])
+        text = out.read_text()
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        assert lines == full.splitlines()[:3]
+        assert [json.loads(line).get("record") for line in lines] == [None, 0, 1]
 
     def test_unwritable_output_exit_2(self, tmp_path):
         res = run_cli(["perrank", "-", "--output", str(tmp_path)], stdin=C4_G6 + "\n")
