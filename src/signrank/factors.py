@@ -7,7 +7,7 @@ and is traversed toward its smaller neighbor; the factor's cycle list and
 K2 list are index-sorted.
 
 One subset DP over vertex sets (_FactorTable), built once per graph and
-kept with it until release_table, answers every count and listing: t(g),
+kept with it while the graph lives, answers every count and listing: t(g),
 the nonzero-transversal count and count_factors_at_most read its counts
 without listing a factor; perrank_bruteforce reads it on induced
 subgraphs; and iter_factors lists the factors (for listings, the
@@ -137,18 +137,10 @@ def count_nonzero_transversals(g: Graph) -> int:
     return _table(g).f((1 << g.n) - 1, cycle_weight=2)
 
 
-def release_table(g: Graph) -> None:
-    """Free the graph's factor table now rather than with the graph; the
-    next count or listing on g builds it again.  A caller that holds many
-    graphs (a corpus run) calls it when it is done with each."""
-    vars(g).pop("_factor_table", None)
-
-
 def _table(g: Graph) -> _FactorTable:
     """The graph's factor table, built on first use.  It is kept in the
     graph's instance dict, as the graph's cached properties are, so every
-    count and listing on one graph shares it, until release_table or the
-    graph is freed."""
+    count and listing on one graph shares it until the graph is freed."""
     table = vars(g).get("_factor_table")
     if table is None:
         table = vars(g)["_factor_table"] = _FactorTable(g)
@@ -375,8 +367,9 @@ def perrank_fast(g: Graph) -> int:
     The double cover has two copies of V with edges u1-v2 and v1-u2 for each
     edge uv; its maximum matching size equals the largest number of vertices
     coverable by disjoint K2s and cycles.  This identity is validated against
-    perrank_bruteforce exhaustively in the test suite (all n <= 7).  Kept
-    with the graph, so has_factor and every caller on it share one matching.
+    perrank_bruteforce in the test suite, exhaustively for n <= 7 and on
+    seeded G(n, p) graphs for n = 8..12.  Kept with the graph, so has_factor
+    and every caller on it share one matching.
     """
     cache = vars(g)
     if "_perrank" not in cache:
@@ -385,55 +378,33 @@ def perrank_fast(g: Graph) -> int:
 
 
 def _double_cover_matching(g: Graph) -> int:
-    """Size of a maximum matching of g's bipartite double cover."""
-    n = g.n
+    """Size of a maximum matching of g's bipartite double cover, grown from
+    each left vertex in turn by a breadth-first search over alternating
+    paths, flipped at the first free right vertex it reaches (a left vertex
+    with no such path then never gets one)."""
     adj = g._adjacency
-    match_right: list[int] = [-1] * n
-    match_left: list[int] = [-1] * n
-
-    def augment(root: int) -> bool:
-        """Depth-first search for an augmenting path from the free left
-        vertex root, with an explicit stack so long paths cannot hit the
-        recursion limit.  A stack entry is [left vertex, position of its
-        next neighbor to try]; the path is flipped through match_left."""
-        visited = [False] * n
-        stack = [[root, 0]]
-        while stack:
-            frame = stack[-1]
-            u, pos = frame
-            nbrs = adj[u]
-            while pos < len(nbrs) and visited[nbrs[pos]]:
-                pos += 1
-            if pos == len(nbrs):
-                stack.pop()
-                continue
-            v = nbrs[pos]
-            frame[1] = pos + 1
-            visited[v] = True
-            if match_right[v] != -1:
-                stack.append([match_right[v], 0])
-                continue
-            # free right vertex: flip the path root -> ... -> u -> v
-            while stack:
-                u = stack.pop()[0]
-                match_right[v] = u
-                v_prev = match_left[u]
-                match_left[u] = v
-                v = v_prev
-            return True
-        return False
-
-    # a greedy matching first leaves the augmenting searches few free
-    # vertices; on a long path it is already maximum
+    match_right = [-1] * g.n            # right vertex -> its left partner
+    match_left = [-1] * g.n
     size = 0
-    for u in range(n):
-        v = next((v for v in adj[u] if match_right[v] == -1), -1)
-        if v != -1:
-            match_right[v], match_left[u] = u, v
+    for root in range(g.n):
+        via = {}                        # right vertex -> left vertex before it
+        free = -1
+        queue = [root]
+        for u in queue:
+            for v in adj[u]:
+                if v not in via:
+                    via[v] = u
+                    if match_right[v] == -1:
+                        free = v
+                        break
+                    queue.append(match_right[v])
+            if free != -1:
+                break
+        if free != -1:
             size += 1
-    for u in range(n):
-        if match_left[u] == -1 and adj[u] and augment(u):
-            size += 1
+        while free != -1:               # flip the path root -> ... -> free
+            u = via[free]
+            match_right[free], match_left[u], free = u, free, match_left[u]
     return size
 
 

@@ -28,8 +28,10 @@ because they would break that reproducibility.
 
 Every witness embedded in a record is self-contained: the record carries the
 graph (graph6) and the witness values in the edge order parse_graph6 gives
-for it (run rebuilds a graph given in any other edge order), so it can be
-re-verified from the report alone.
+for it, so it can be re-verified from the report alone.  Each record builds
+its own graph in that order from the input's vertex count and edges, so
+whatever is cached on it goes with the record: no record, and no run, sees
+another's work.
 
 Checks (cmd_verify tags):
 
@@ -68,7 +70,6 @@ from .factors import (
     count_nonzero_transversals,
     enumerate_factors,
     perrank_fast,
-    release_table,
 )
 from .graph_core import (
     Graph,
@@ -336,17 +337,17 @@ _COMMANDS: dict[str, Callable[[Graph, int, RunConfig], dict]] = {
 _FACTOR_CAPPED = frozenset(("analyze", "factors", "weightfind", "t21", "t31", "r11", "r32"))
 
 
-def _worker(args: tuple[str, int, str, RunConfig]) -> dict:
-    command, index, g6, cfg = args
-    return _record(command, index, parse_graph6(g6), cfg)
-
-
-def _record(command: str, index: int, g: Graph, cfg: RunConfig) -> dict:
-    """One graph's record: the base fields, status "ok" (or the pass/fail
-    of a verify check) and the command's fields; or status "skip" with a
-    reason when the graph exceeds factor_n (for the commands and tags
-    above) or the search hits a cap.  "ms" is added under cfg.timings."""
+def _record(task: tuple[str, int, int, tuple[tuple[int, int], ...], RunConfig]) -> dict:
+    """The record of one task (command, index, n, edges, config), on a graph
+    built from n and the edges in graph6 order: the base fields, status "ok"
+    (or the pass/fail of a verify check) and the command's fields; or status
+    "skip" with a reason when the graph exceeds factor_n (for the commands
+    and tags above) or the search hits a cap.  "ms" is added under
+    cfg.timings."""
+    command, index, n, edges, cfg = task
     start = time.perf_counter()
+    # the record's own graph: its caches go with the record
+    g = Graph(n, tuple(sorted(edges)))
     rec = _base_record(index, g)
     capped = cfg.theorem if command == "verify" else command
     try:
@@ -356,10 +357,6 @@ def _record(command: str, index: int, g: Graph, cfg: RunConfig) -> dict:
             rec.update({"status": "ok", **_COMMANDS[command](g, graph_seed(cfg.seed, index), cfg)})
     except ResourceCapError as exc:
         rec.update(status="skip", reason=str(exc))
-    finally:
-        # run() holds every input graph until it returns: free the factor
-        # table with the record, not with the graph
-        release_table(g)
     if cfg.timings:
         rec["ms"] = round((time.perf_counter() - start) * 1000, 3)
     return rec
@@ -377,17 +374,13 @@ def write_report(graphs: Iterable[Graph], cfg: RunConfig,
     """Run one command over a corpus, passing each report line (newline
     included) to write as soon as it is made: the header, each record in
     input order as it finishes, then the summary.  Returns the summary."""
-    # a graph whose edges are out of graph6 order is rebuilt in it, so that
-    # every witness indexes the edges of the record's own g6 (which a pool
-    # worker re-parses)
-    graphs = [g if list(g.edges) == sorted(g.edges) else Graph(g.n, tuple(sorted(g.edges)))
-              for g in graphs]
     if cfg.command not in _COMMANDS:
         raise ValueError(f"unknown command {cfg.command!r}")
     if cfg.command == "verify" and cfg.theorem not in THEOREM_TAGS:
         raise ValueError(f"unknown theorem tag {cfg.theorem!r}")
     if cfg.bound < 2:
         raise ValueError(f"flow bound must be at least 2, got {cfg.bound}")
+    tasks = [(cfg.command, i, g.n, g.edges, cfg) for i, g in enumerate(graphs)]
     write(_dumps({"signrank_report": 1, "version": __version__, "command": cfg.command,
                   "theorem": cfg.theorem, "seed": cfg.seed, "bound": cfg.bound,
                   "caps": vars(cfg.caps)}) + "\n")
@@ -401,20 +394,19 @@ def write_report(graphs: Iterable[Graph], cfg: RunConfig,
         if _is_partial(rec):
             summary["partial"] += 1
 
-    workers = pool_size(cfg.jobs, len(graphs))
+    workers = pool_size(cfg.jobs, len(tasks))
     if workers > 1:
         # imported here: a single-process run does not pay multiprocessing's
         # import time and memory
         from multiprocessing import Pool
 
-        tasks = [(cfg.command, i, encode_graph6(g), cfg) for i, g in enumerate(graphs)]
         # ordered, in the chunks Pool.map would send
         with Pool(workers) as pool:
-            for rec in pool.imap(_worker, tasks, chunksize=-(-len(tasks) // (4 * workers))):
+            for rec in pool.imap(_record, tasks, chunksize=-(-len(tasks) // (4 * workers))):
                 emit(rec)
     else:
-        for i, g in enumerate(graphs):
-            emit(_record(cfg.command, i, g, cfg))
+        for rec in map(_record, tasks):
+            emit(rec)
     write(_dumps({"summary": summary}) + "\n")
     return summary
 

@@ -226,11 +226,25 @@ class TestFactorTableRelease:
     @pytest.mark.parametrize("command, theorem", [
         ("analyze", None), ("factors", None), ("verify", "t21"), ("verify", "r11")])
     def test_run_leaves_no_factor_table(self, command, theorem):
-        # run() holds all its input graphs until it returns; each factor
-        # table goes with its record
+        # each record builds its own graph, so run() leaves the caller's
+        # graphs as it found them: no factor table, no other cache
         graphs = [complete(5), cycle(6), path(4), complete(6)]
+        before = [set(vars(g)) for g in graphs]
         run(graphs, RunConfig(command=command, theorem=theorem, timings=True))
-        assert all("_factor_table" not in vars(g) for g in graphs)
+        assert [set(vars(g)) for g in graphs] == before
+
+
+class TestRunsShareNothing:
+    def test_repeated_runs_on_one_graph_list(self):
+        # a default run climbs further than flow_nodes=0 allows; a later
+        # flow_nodes=0 run on the same graph objects must not see that work
+        graphs = [cycle(4), complete(4), petersen(), chain_of_4_cycles(2),
+                  Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))]
+        starved = Caps(flow_nodes=0)
+        for command in ("zsf", "weightfind", "analyze"):
+            first = run(graphs, RunConfig(command=command, caps=starved))[0]
+            run(graphs, RunConfig(command=command))
+            assert run(graphs, RunConfig(command=command, caps=starved))[0] == first
 
 
 class TestRecordEnvelope:
@@ -256,11 +270,15 @@ class TestRecordEnvelope:
 
 
 class TestFlowEliminations:
+    # each record builds its own graph; the counting wrappers keep every
+    # graph they see, so no id is reused and each distinct graph is one record
+
     def test_one_elimination_per_graph(self, monkeypatch):
         # analyze and verify flows ask for the flow answer at several gates
         # (the weight search, the flow block, the flows check); a graph with
         # a flow and a connected flow-free graph with t >= 2 (K4 minus an
-        # edge) are each eliminated once
+        # edge) are each eliminated at most once per record, the latter
+        # exactly once in each of its two records
         eliminated = []
         original = zero_sum_flow._eliminate
 
@@ -272,15 +290,14 @@ class TestFlowEliminations:
         graphs = [cycle(4), Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))]
         run(graphs, RunConfig(command="analyze"))
         run(graphs, RunConfig(command="verify", theorem="flows"))
-        assert any(g is graphs[1] for g in eliminated)
+        assert sum(g.edges == graphs[1].edges for g in eliminated) == 2
         assert len({id(g) for g in eliminated}) == len(eliminated)
 
     @pytest.mark.parametrize("bound", [2, 6])
     def test_one_search_per_graph_and_bound(self, monkeypatch, bound):
         # the weight search climbs to flow_bound and the flow block to
         # --bound: the block reuses the bounds the weight search passed, so
-        # no graph is searched twice at one k (graphs in graph6 edge order
-        # are run as they are, and kept, so no id is reused)
+        # every record searches its graph, and never twice at one k
         searched = []
         original = zero_sum_flow._search
 
@@ -292,7 +309,8 @@ class TestFlowEliminations:
         graphs = [parse_graph6(encode_graph6(g)) for g in (
             cycle(4), complete(4), complete(5), petersen(), parse_graph6("FF~]o"))]
         run(graphs, RunConfig(command="analyze", bound=bound))
-        assert {id(g) for g, _ in searched} == {id(g) for g in graphs}
+        records = {id(g): g for g, _ in searched}.values()
+        assert sorted(g.edges for g in records) == sorted(g.edges for g in graphs)
         assert len({(id(g), k) for g, k in searched}) == len(searched)
 
 
@@ -301,19 +319,21 @@ class TestDoubleCoverMatchings:
         ("analyze", None), ("verify", "t21"), ("verify", "c22")])
     def test_one_matching_per_graph(self, monkeypatch, command, theorem):
         # perrank, full_perrank and the sign search's factor gate all read
-        # one double-cover matching per graph
+        # one double-cover matching per record (every graph is kept, so no
+        # id is reused)
         matched = []
         original = factors._double_cover_matching
 
         def counting(g):
-            matched.append(id(g))
+            matched.append(g)
             return original(g)
 
         monkeypatch.setattr(factors, "_double_cover_matching", counting)
         graphs = [parse_graph6(encode_graph6(g)) for g in (
             cycle(4), path(3), complete(5), petersen(), parse_graph6("FF~]o"))]
         run(graphs, RunConfig(command=command, theorem=theorem))
-        assert sorted(matched) == sorted(id(g) for g in graphs)
+        assert len({id(g) for g in matched}) == len(matched)
+        assert sorted(g.edges for g in matched) == sorted(g.edges for g in graphs)
 
 
 class TestSkipRecords:
