@@ -20,9 +20,7 @@ from typing import Sequence, Union
 from .assignments import EdgeAssignment
 from .errors import InvalidAssignmentError, ResourceCapError
 from .graph_core import Graph
-from .factors import count_factors, iter_factors
-
-DEFAULT_TERM_CAP = 500_000
+from .factors import LISTING_CAP, count_factors, iter_factors
 
 
 @dataclass(frozen=True, eq=True)
@@ -43,7 +41,7 @@ class DetPolynomial:
         return len(self.terms)
 
 
-def det_poly(g: Graph, max_terms: int = DEFAULT_TERM_CAP) -> DetPolynomial:
+def det_poly(g: Graph, max_terms: int = LISTING_CAP) -> DetPolynomial:
     """Build the determinant polynomial from the factor expansion.
 
     One term per {1,2}-factor; raises ResourceCapError, before listing any

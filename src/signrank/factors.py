@@ -18,7 +18,8 @@ The table's time and memory grow exponentially with n whatever is asked of
 it: up to 3^n DP steps, plus a path table per vertex that holds every
 simple path from it.  Every function here but perrank_fast and has_factor
 (one matching of the bipartite double cover, in polynomial time) is meant
-for n <= about 12, the harness's factor_n cap.
+for n <= about 12, the harness's factor_n cap.  Past the table, a listing
+costs in proportion to what it lists; a full one checks t <= LISTING_CAP.
 
 Conventions: the empty graph on 0 vertices has exactly one (empty) factor;
 an edgeless graph on n >= 1 vertices has none.  perrank is the order of the
@@ -27,16 +28,16 @@ largest vertex subset whose induced subgraph has a spanning {1,2}-factor.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph_core import Graph
 
+LISTING_CAP = 500_000      # the most factors one full listing may hold
 
-@dataclass(frozen=True)
-class Factor:
+
+class Factor(NamedTuple):
     """One {1,2}-factor: K2 edges by index, cycles as edge-index tuples in
     canonical traversal order, and the covered vertex set."""
 
@@ -73,11 +74,11 @@ def iter_factors(g: Graph) -> Iterator[Factor]:
     Before the first factor the walk fills the table: f over every set it
     can reach and the path table of every vertex (the cost the module
     docstring gives), so even next(iter_factors(g)) costs exponential
-    time and memory in n.  After that, the steps are linear in the number
-    of factors yielded.  The choices at each set S, and the cycles on each
-    vertex set, are listed once per graph and kept in its table, so a
-    caller that stops early has still paid for every choice at the sets on
-    its way.
+    time and memory in n.  After that the work is in proportion to what
+    is listed: the choices at each set S it enters and the cycles on each
+    vertex set, listed once per graph and kept in its table (a caller that
+    stops early has still paid for every choice at the sets on its way),
+    and a step per choice taken, each stack level carrying its prefixes.
     """
     n = g.n
     covered = frozenset(range(n))
@@ -88,29 +89,28 @@ def iter_factors(g: Graph) -> Iterator[Factor]:
     full = (1 << n) - 1
     if not table.f(full):
         return
-    # picks[d] is the choice taken at depth d; stack[d] iterates the
-    # choices at depth d
-    picks: list[tuple[int | None, tuple[int, ...] | None, int]] = []
-    stack = [iter(table.choices(full))]
+    # K2 edges come by least vertex, which rises with depth: by index if sorted
+    in_order = list(g.edges) == sorted(g.edges)
+    choices = table.choices
+    # each level: the K2 edges and cycles taken above it, and its choices
+    stack = [((), (), iter(choices(full)))]
     while stack:
-        for pick in stack[-1]:
-            del picks[len(stack) - 1:]
-            picks.append(pick)
-            if pick[2]:
-                stack.append(iter(table.choices(pick[2])))
+        k2s, cycles, todo = stack[-1]
+        for k2, cycle, left in todo:
+            k2_edges = k2s + k2
+            cycle_edges = cycles + cycle
+            if left:
+                stack.append((k2_edges, cycle_edges, iter(choices(left))))
                 break
-            yield Factor(
-                tuple(sorted([k2 for k2, cyc, _ in picks if cyc is None])),
-                tuple([cyc for _, cyc, _ in picks if cyc is not None]),
-                covered,
-            )
+            yield Factor(k2_edges if in_order else tuple(sorted(k2_edges)),
+                         cycle_edges, covered)
         else:
             stack.pop()
 
 
 def enumerate_factors(g: Graph) -> list[Factor]:
     """All {1,2}-factors, canonically sorted."""
-    return sorted(iter_factors(g), key=lambda f: (f.k2_edges, f.cycles))
+    return sorted(iter_factors(g))
 
 
 def count_factors(g: Graph) -> int:
@@ -161,21 +161,24 @@ class _FactorTable:
     removes at least two vertices, so the recursion is at most n/2 deep.
 
     Everything is filled on demand and kept: f per cycle weight, the path
-    table of each vertex (shared by the counts and the listing), and for
-    the listing the choices at each set and the cycles on each vertex set.
+    table of each vertex (for a listing, replaced by the ends of its paths
+    by the set they cover), the choices at each set and the cycles on each
+    vertex set.
     """
 
     def __init__(self, g: Graph):
         self.nbr = [0] * g.n
-        for u, v in g.edges:
+        self.edge_id = [[-1] * g.n for _ in range(g.n)]    # u, v -> index of edge uv
+        for i, (u, v) in enumerate(g.edges):
             self.nbr[u] |= 1 << v
             self.nbr[v] |= 1 << u
+            self.edge_id[u][v] = self.edge_id[v][u] = i
         self.paths: list[list[dict[int, int]] | None] = [None] * g.n
+        self.ends: list[dict[int, int] | None] = [None] * g.n
         self.cycles: list[dict[int, int] | None] = [None] * g.n
         self.memo: dict[int, dict[int, int]] = {}
         self.choice_lists: dict[int, list] = {}
         self.cycle_lists: dict[int, list] = {}
-        self.edge_index = g._edge_index
 
     def cycles_at(self, v: int) -> dict[int, int]:
         cyc = self.cycles[v]
@@ -233,71 +236,97 @@ class _FactorTable:
         f = None        # the recursive closure refers to itself: free it now
         return total
 
-    def choices(self, s: int) -> list[tuple[int | None, tuple[int, ...] | None, int]]:
+    def choices(self, s: int) -> list[tuple[tuple, tuple, int]]:
         """The ways to cover the least vertex v of S that leave a set with a
-        factor, in listing order, as (K2 edge, None, set left) or (None,
-        cycle edges, set left): the K2 partners of v in vertex order,
-        then the cycles through v merged in lexicographic order of their
-        vertex sequences."""
+        factor, in listing order, as ((K2 edge,), (), set left) or ((),
+        (cycle edges,), set left): the K2 partners of v in vertex order,
+        then the cycles through v in lexicographic order of their vertex
+        sequences.  Reads the count memo that f(S) filled for every set
+        it leaves."""
         out = self.choice_lists.get(s)
         if out is not None:
             return out
-        f = self.f
+        memo = self.memo[1]
         low = s & -s
         v = low.bit_length() - 1
         rest = s ^ low
-        edge_index = self.edge_index
+        edge_id = self.edge_id[v]
         out = []
         pair = self.nbr[v] & rest
         while pair:
             b = pair & -pair
-            if f(rest ^ b):
-                out.append((edge_index[v, b.bit_length() - 1], None, rest ^ b))
+            if memo[rest ^ b]:
+                out.append(((edge_id[b.bit_length() - 1],), (), rest ^ b))
             pair ^= b
-        listed = [self.cycle_list(v, t) for t in self.cycles_at(v)
-                  if t & rest == t and f(rest ^ t)]
-        out.extend((None, edges, rest ^ t) for _, edges, t in heapq.merge(*listed))
+        cyc = self.cycles_at(v)
+        # as in f: the cycle sets at v, or the subsets of rest
+        if len(cyc) < 1 << rest.bit_count():
+            sets = [t for t in cyc if t & rest == t and memo[rest ^ t]]
+        else:
+            sets = []
+            t = rest
+            while t:
+                if t in cyc and memo[rest ^ t]:
+                    sets.append(t)
+                t = (t - 1) & rest
+        listed = []
+        for t in sets:
+            listed += self.cycle_list(v, t)
+        listed.sort()           # by vertex sequence: no two are equal
+        out.extend([((), (edges,), rest ^ t) for _, edges, t in listed])
         self.choice_lists[s] = out
         return out
 
     def cycle_list(self, v: int, t: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
         """The cycles spanning {v} + T, v = min, each once as (vertex
         sequence from v toward the smaller of its two neighbors on the
-        cycle, edge indices along it, T), in lexicographic order.  A path
-        is extended to u only when a path from v covers the vertices still
-        left with u and ends at u: reversed, that is the rest of a cycle."""
+        cycle, edge indices along it, T), in lexicographic order.
+
+        A path from v steps to u only when a path from v covers just the
+        vertices left and ends at u (one lookup in self.ends[v]): reversed,
+        that is the rest of a cycle.  A step that leaves no neighbor of v
+        above the path's second vertex to close it is not taken."""
         key = t | 1 << v
         out = self.cycle_lists.get(key)
         if out is not None:
             return out
-        edge_index = self.edge_index
         nbr = self.nbr
-        shift = _shift(nbr)
-        self.cycles_at(v)           # fills self.paths[v]
-        paths = self.paths[v]
-        seq = [v]
+        edge_id = self.edge_id
+        ends = self.ends[v]
+        if ends is None:        # from v's path table: set covered -> path ends
+            self.cycles_at(v)
+            ends = self.ends[v] = {}
+            shift = _shift(nbr)
+            for layer in self.paths[v]:
+                for k in layer:
+                    ends[k >> shift] = ends.get(k >> shift, 0) | 1 << (k & ~(-1 << shift))
+            self.paths[v] = None
+        seq = [v]           # the path from v, and its edges
+        path: list[int] = []
         out = []
 
-        def extend(end: int, left: int) -> None:
-            if not left:
-                if seq[1] < end:
-                    edges = [edge_index[(a, b) if a < b else (b, a)]
-                             for a, b in zip(seq, seq[1:])]
-                    edges.append(edge_index[v, end])
-                    out.append((tuple(seq), tuple(edges), t))
+        def extend(left: int, close: int) -> None:
+            # left is to follow the path and end in close, the neighbors of
+            # v above seq[1] (0 while seq is [v])
+            end = seq[-1]
+            if not left & (left - 1):
+                last = left.bit_length() - 1
+                out.append(((*seq, last), (*path, edge_id[end][last], edge_id[last][v]), t))
                 return
-            ends = paths[left.bit_count()]
-            step = nbr[end] & left
+            step = nbr[end] & ends[left]
             while step:
                 b = step & -step
-                u = b.bit_length() - 1
-                if left << shift | u in ends:
+                above = close or nbr[v] & -(b << 1)
+                if above & (left ^ b):
+                    u = b.bit_length() - 1
                     seq.append(u)
-                    extend(u, left ^ b)
+                    path.append(edge_id[end][u])
+                    extend(left ^ b, above)
                     seq.pop()
+                    path.pop()
                 step ^= b
 
-        extend(v, t)
+        extend(t, 0)
         extend = None   # as in f
         self.cycle_lists[key] = out
         return out

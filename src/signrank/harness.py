@@ -66,6 +66,7 @@ from . import __version__
 from .errors import GraphParseError, ResourceCapError
 from .exact_linalg import adjacency_matrix, mat_vec, permanent
 from .factors import (
+    LISTING_CAP,
     count_factors,
     count_nonzero_transversals,
     enumerate_factors,
@@ -225,10 +226,13 @@ def _minrank(g: Graph, seed: int, cfg: RunConfig) -> dict:
 
 
 def _factors(g: Graph, seed: int, cfg: RunConfig) -> dict:
-    facs = enumerate_factors(g)
-    return {"t": len(facs),
-            "factors": [{"k2": list(f.k2_edges), "cycles": [list(c) for c in f.cycles]}
-                        for f in facs]}
+    """Raises ResourceCapError, before any listing, if t > LISTING_CAP."""
+    t = count_factors(g)
+    if t > LISTING_CAP:
+        raise ResourceCapError(f"t={t} factors exceed the listing cap {LISTING_CAP}")
+    # the encoder writes the factors' tuples as arrays
+    return {"t": t, "factors": [{"k2": f.k2_edges, "cycles": f.cycles}
+                                for f in enumerate_factors(g)]}
 
 
 def _perrank(g: Graph, seed: int, cfg: RunConfig) -> dict:

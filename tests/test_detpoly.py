@@ -57,6 +57,15 @@ class TestConstruction:
         with pytest.raises(ResourceCapError):
             det_poly(complete(8), max_terms=6201)
 
+    def test_default_cap_is_the_listing_cap(self, monkeypatch):
+        # t(K11) = 5,238,370 exceeds factors.LISTING_CAP
+        def no_listing(g):
+            raise AssertionError("listed factors above the cap")
+
+        monkeypatch.setattr(detpoly, "iter_factors", no_listing)
+        with pytest.raises(ResourceCapError, match="500000 terms"):
+            det_poly(complete(11))
+
     def test_term_cap_is_inclusive(self):
         # t(C4) = 3 terms fit a cap of 3
         assert det_poly(cycle(4), max_terms=3).term_count() == 3

@@ -1,12 +1,14 @@
 import random
 import weakref
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import signrank
+from signrank import harness
 from signrank.factors import (
     Factor,
     count_factors,
@@ -308,6 +310,114 @@ class TestListingWalk:
         assert count_factors(g) == 822
         assert next(iter_factors(g)) == next(reference_factors(g))
         assert list(iter_factors(g)) == list(reference_factors(g))
+
+
+class TestUnsortedEdgeList:
+    def test_listing_matches_reference(self):
+        # edge indices follow the edge list as given: K2 edges are still
+        # listed in index order
+        rng = random.Random(20261019)
+        for g in (cycle(6), Graph(4, ((2, 3), (0, 1), (1, 2), (0, 3), (0, 2)))):
+            assert list(iter_factors(g)) == list(reference_factors(g))
+        for _ in range(10):
+            edges = list(_gnp(rng, 8, 0.5).edges)
+            rng.shuffle(edges)
+            g = Graph(8, tuple(edges))
+            assert list(iter_factors(g)) == list(reference_factors(g))
+
+
+def brute_cycle_list(g: Graph, v: int, t: int) -> list:
+    """The cycles spanning {v} + T (v below every vertex of T), from every
+    ordering of T: each as (vertex sequence from v in the orientation whose
+    second vertex is below its last, edge indices along it, T), sorted.
+    The orderings are tried per pair of neighbors of v that open and close
+    the cycle."""
+    steps_ok = {*g.edges, *((b, a) for a, b in g.edges)}
+    members = [u for u in range(g.n) if t >> u & 1]
+    out = []
+    for a, c in combinations([u for u in members if (v, u) in steps_ok], 2):
+        for order in permutations([u for u in members if u != a and u != c]):
+            path = (a, *order, c)
+            if steps_ok.issuperset(zip(path, path[1:])):
+                seq = (v, *path)
+                steps = zip(seq, seq[1:] + (v,))
+                out.append((seq, tuple(g.edge_index(x, y) for x, y in steps), t))
+    return sorted(out)
+
+
+class TestCycleList:
+    """The cycle lists the walk reads, against every ordering of their
+    vertex sets: the path-table steps and the orientation cut-off neither
+    lose nor add a cycle."""
+
+    @staticmethod
+    def check_walk(g: Graph) -> int:
+        list(iter_factors(g))
+        table = vars(g).get("_factor_table")
+        keys = table.cycle_lists if table is not None else {}
+        for key in keys:
+            v = (key & -key).bit_length() - 1
+            t = key ^ 1 << v
+            assert table.cycle_list(v, t) == brute_cycle_list(g, v, t), (g, v, t)
+        return len(keys)
+
+    def test_corpora(self, corpus_le7, corpus_bipartite_2ec_n8):
+        assert sum(self.check_walk(g) for g in corpus_le7 + corpus_bipartite_2ec_n8)
+
+    def test_random_gnp(self):
+        rng = random.Random(20261019)
+        for _ in range(50):
+            g = _gnp(rng, rng.randint(8, 11), rng.choice((0.2, 0.3, 0.4, 0.5)))
+            self.check_walk(g)
+
+
+def _dense_graphs(count: int) -> list[Graph]:
+    """The first seeded G(n, p) graphs, n = 9..11, with 1,000 <= t <= 5,000
+    factors: the range that no graph of the committed corpora reaches."""
+    rng = random.Random(20261019)
+    found = []
+    while len(found) < count:
+        g = _gnp(rng, rng.randint(9, 11), rng.choice((0.5, 0.6, 0.7)))
+        if 1000 <= count_factors(g) <= 5000:
+            found.append(g)
+    return found
+
+
+class TestDenseListing:
+    """Listings of 1e3-5e3 factors, where the walk's shared prefixes and
+    cached choices carry the most weight."""
+
+    def test_walk_and_report(self):
+        for g in _dense_graphs(4):
+            listed = list(reference_factors(g))
+            assert list(iter_factors(g)) == listed
+            report, _ = harness.run([g], harness.RunConfig(command="factors"))
+            record = report.splitlines()[1]
+            expected = {
+                **harness._base_record(0, g), "status": "ok", "t": len(listed),
+                "factors": [{"k2": list(f.k2_edges), "cycles": [list(c) for c in f.cycles]}
+                            for f in sorted(listed, key=lambda f: (f.k2_edges, f.cycles))]}
+            assert record == harness._dumps(expected)
+
+
+class TestFactorContract:
+    def test_fields_and_derived_counts(self):
+        f = Factor(k2_edges=(0, 3), cycles=((1, 2, 4), (5, 6, 7, 8)),
+                   covered=frozenset(range(11)))
+        assert (f.k2_edges, f.cycles, f.covered) == ((0, 3), ((1, 2, 4), (5, 6, 7, 8)),
+                                                     frozenset(range(11)))
+        assert f.k2_count == 2 and f.cycle_count == 2
+        assert f.edge_indices() == frozenset(range(9))
+
+    def test_equality_and_hashing(self):
+        a = Factor((1,), ((0, 2, 3),), frozenset(range(5)))
+        b = Factor((1,), ((0, 2, 3),), frozenset(range(5)))
+        c = Factor((4,), ((0, 2, 3),), frozenset(range(5)))
+        assert a == b and hash(a) == hash(b) and a != c
+        assert len({a, b, c}) == 2
+
+    def test_exported(self):
+        assert signrank.Factor is Factor
 
 
 class TestPerrank:

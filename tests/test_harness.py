@@ -349,6 +349,25 @@ class TestSkipRecords:
         assert rec["status"] == "skip" and "factor cap 3" in rec["reason"]
         assert "ms" in rec and summary["skip"] == 1
 
+    def test_factor_listing_above_the_cap(self, monkeypatch, tmp_path, capsys):
+        # t(K11) = 5,238,370 and t(K12) = 60,222,844 (n within factor_n):
+        # the count is checked before anything is listed, so the records
+        # skip at once instead of holding millions of factors
+        def no_listing(g):
+            raise AssertionError("listed factors above the cap")
+
+        monkeypatch.setattr(harness, "enumerate_factors", no_listing)
+        monkeypatch.setattr(factors, "iter_factors", no_listing)
+        report, summary = run([complete(11), complete(12)], RunConfig(command="factors"))
+        _, records, _ = parse_report(report)
+        for rec, t in zip(records, (5238370, 60222844)):
+            assert rec["status"] == "skip" and "factors" not in rec
+            assert rec["reason"] == f"t={t} factors exceed the listing cap {factors.LISTING_CAP}"
+        assert summary["skip"] == 2
+        corpus = tmp_path / "k11.g6"
+        corpus.write_text(encode_graph6(complete(11)) + "\n")
+        assert cli.main(["factors", str(corpus)]) == 3
+
     def test_signfind_has_no_factor_cap(self):
         # has_factor is one double-cover matching, so signfind answers far
         # above the factor table's reach (n = 36 > factor_n = 12)
