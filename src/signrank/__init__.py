@@ -32,7 +32,6 @@ from .factors import (
     count_nonzero_transversals,
     enumerate_factors,
     has_factor,
-    perrank_bruteforce,
     perrank_fast,
 )
 from .graph_core import (
@@ -55,8 +54,6 @@ from .sign_search import (
 from .weight_search import WeightSearchOutcome, find_singular_weight, verify_weight
 from .zero_sum_flow import (
     FlowObstruction,
-    find_zero_sum_flow,
-    flow_exists_nonbipartite_test,
     flow_obstruction,
     least_bound_flow,
     verify_flow,

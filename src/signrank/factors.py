@@ -9,10 +9,9 @@ K2 list are index-sorted.
 One subset DP over vertex sets (_FactorTable), built once per graph and
 kept with it while the graph lives, answers every count and listing: t(g),
 the nonzero-transversal count and count_factors_at_most read its counts
-without listing a factor; perrank_bruteforce reads it on induced
-subgraphs; and iter_factors lists the factors (for listings, the
-determinant polynomial and edge membership) by walking the same table,
-taking only steps that lead to a factor.
+without listing a factor, and iter_factors lists the factors (for
+listings, the determinant polynomial and edge membership) by walking the
+same table, taking only steps that lead to a factor.
 
 The table's time and memory grow exponentially with n whatever is asked of
 it: up to 3^n DP steps, plus a path table per vertex that holds every
@@ -29,9 +28,9 @@ largest vertex subset whose induced subgraph has a spanning {1,2}-factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, NamedTuple
 
+from .errors import ResourceCapError
 from .graph_core import Graph
 
 LISTING_CAP = 500_000      # the most factors one full listing may hold
@@ -375,30 +374,15 @@ def _shift(nbr: list[int]) -> int:
     return len(nbr).bit_length()
 
 
-def perrank_bruteforce(g: Graph) -> int:
-    """perrank as the largest vertex set S with f(S) > 0 in the subset DP,
-    sets tried largest first.
-
-    Independent of perrank_fast's matching: a set counts only when its
-    induced subgraph has a {1,2}-factor.  Intended for n <= ~12.
-    """
-    table = _table(g)
-    for size in range(g.n, 0, -1):
-        for subset in combinations(range(g.n), size):
-            if table.f(sum(1 << v for v in subset)):
-                return size
-    return 0
-
-
 def perrank_fast(g: Graph) -> int:
     """perrank via a maximum matching of the bipartite double cover.
 
     The double cover has two copies of V with edges u1-v2 and v1-u2 for each
     edge uv; its maximum matching size equals the largest number of vertices
-    coverable by disjoint K2s and cycles.  This identity is validated against
-    perrank_bruteforce in the test suite, exhaustively for n <= 7 and on
-    seeded G(n, p) graphs for n = 8..12.  Kept with the graph, so has_factor
-    and every caller on it share one matching.
+    coverable by disjoint K2s and cycles.  The test suite validates this
+    identity against the subset DP on induced subgraphs, exhaustively for
+    n <= 7 and on seeded G(n, p) graphs for n = 8..12.  Kept with the graph,
+    so has_factor and every caller on it share one matching.
     """
     cache = vars(g)
     if "_perrank" not in cache:
@@ -453,6 +437,11 @@ class EdgeMembership:
 
 
 def edge_membership(g: Graph) -> EdgeMembership:
+    """Read from the full factor listing; raises ResourceCapError, before
+    listing any factor, if t > LISTING_CAP."""
+    t = count_factors(g)
+    if t > LISTING_CAP:
+        raise ResourceCapError(f"t={t} factors exceed the listing cap {LISTING_CAP}")
     m = g.m
     in_k2 = [False] * m
     in_cycle = [False] * m

@@ -81,14 +81,6 @@ def iter_sign_representatives(g: Graph) -> Iterator[tuple[int, ...]]:
         yield tuple(vec)
 
 
-def switch_at_vertex(g: Graph, values: tuple[int, ...], v: int) -> tuple[int, ...]:
-    """Negate the sign of every edge incident to v (a switching)."""
-    out = list(values)
-    for _, eidx in g.incidence[v]:
-        out[eidx] = -out[eidx]
-    return tuple(out)
-
-
 def _sampled_signs(m: int, seed: int, count: int) -> Iterator[tuple[int, ...]]:
     """count uniform +-1 vectors of length m from one seeded generator."""
     rng = random.Random(seed)

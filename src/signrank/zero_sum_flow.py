@@ -1,18 +1,21 @@
 """Zero-sum flows: nowhere-zero integer edge values whose incident sums
 vanish at every vertex.
 
-Existence is decided exactly, with no search.  A flow is a nowhere-zero
-vector f with B f = 0, where B is the unsigned n x m vertex-edge incidence
-matrix.  The kernel of B is the orthogonal complement of its row space, so
-some kernel vector is nonzero on edge i unless the unit vector e_i lies in
-the row space; and when no e_i does, a generic combination of such kernel
-vectors is nonzero on every edge, and a rational flow scales to an integer
-one.  `flow_obstruction` runs one fraction-free Gauss-Jordan pass over
-[B | I] and either finds no such e_i (a flow exists) or returns an integer
-vertex vector y with y^T B = d e_i^T, d != 0.  Summing the vertex equations
-of any zero-sum flow with weights y gives d f_i = 0, so y proves that every
-flow vanishes on edge i; `verify_obstruction` re-checks it from y, d and
-the graph alone.
+Existence is decided exactly, with no search, in O(n + m).  A flow is a
+nowhere-zero vector f with B f = 0, B the unsigned n x m vertex-edge
+incidence matrix.  Every kernel vector of B vanishes on edge e exactly when
+e is a coloop of B's column matroid; when no edge is one, a generic kernel
+vector is nonzero on every edge and scales to an integer flow.  That
+matroid is the frame matroid of the all-negative signed graph (Zaslavsky,
+"Signed graphs", Discrete Appl. Math. 1982), and B has rank n minus the
+number of bipartite components (van Nuffelen, IEEE Trans. Circuits Syst.
+1976), so e is a coloop exactly when G - e has more bipartite components
+than G: e is a bridge with a bipartite side, or e lies on every odd cycle
+of a non-bipartite component.  `flow_obstruction` names the smallest-index
+coloop with an integer vertex vector y and a d > 0 such that y[u] + y[v] is
+d on e and 0 on every other edge uv.  Summing the vertex equations of any
+zero-sum flow with weights y gives d f_e = 0, and `verify_obstruction`
+re-checks y, d and e from the graph alone.
 
 A zero-sum k-flow uses values in {+-1, ..., +-(k-1)}.  The bounded solver is
 a complete backtracking search with constraint propagation: whenever a
@@ -41,9 +44,6 @@ k = 2, 3, ... up to a bound, under one node budget, returning the first flow
 of the smallest bound that has one.  Its progress is kept with the graph, so
 an analyze record's weight search and flow block climb once between them.
 
-The structural test `flow_exists_nonbipartite_test` (a connected
-non-bipartite graph has a flow iff removing any single edge leaves no
-bipartite component) is kept as an independent oracle for the tests.
 `flow_bound` gives the observed bounds that callers use: 2-edge-connected
 bipartite graphs admit zero-sum 6-flows, and any graph with a zero-sum flow
 has a zero-sum 12-flow.
@@ -51,13 +51,11 @@ has a zero-sum 12-flow.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple
 
 from .assignments import EdgeAssignment
 from .errors import InvalidAssignmentError, PreconditionError, ResourceCapError
-from .graph_core import (
-    Graph, bipartition, components, forest_parity, is_bipartite, spanning_forest)
+from .graph_core import Graph, components, forest_parity, is_bipartite, spanning_forest
 
 DEFAULT_FLOW_NODES = 2_000_000  # a weight search's flow climb, and the flow_nodes cap
 
@@ -72,57 +70,105 @@ class FlowObstruction(NamedTuple):
 
 
 def flow_obstruction(g: Graph) -> FlowObstruction | None:
-    """None when g has a zero-sum flow (of some bound), else an obstruction
-    that proves it has none.  Kept in the graph's instance dict, so callers
-    on one graph (frozen, so it cannot go stale) share one elimination."""
+    """None when g has a zero-sum flow (of some bound), else the obstruction
+    at the smallest-index coloop of B, which proves it has none.  Kept in
+    the graph's instance dict, so callers on one graph (frozen, so it cannot
+    go stale) share one answer."""
     cache = vars(g)
     if "_flow_obstruction" not in cache:
-        cache["_flow_obstruction"] = _eliminate(g)
+        obstruction = _first_coloop(g)
+        if obstruction is not None and not verify_obstruction(g, obstruction):
+            raise AssertionError("flow obstruction failed re-verification")
+        cache["_flow_obstruction"] = obstruction
     return cache["_flow_obstruction"]
 
 
-def _eliminate(g: Graph) -> FlowObstruction | None:
-    """Fraction-free Gauss-Jordan elimination over the integer rows [B | I]
-    (each row is y^T B followed by y^T for its own y), every combined row
-    divided by the gcd of its entries.  In the reduced form, e_i lies in the
-    row space exactly when the row whose pivot is column i has no other
-    nonzero entry in its B part; that row then carries y and d.
+def _first_coloop(g: Graph) -> FlowObstruction | None:
+    """The obstruction at the smallest-index coloop of B, or None.
+
+    One depth-first search without recursion makes every edge outside its
+    forest a back edge, odd when its ends' depths have one parity.  Sums
+    from the leaves up give, per tree edge (kept at its lower end c), the
+    odd and the even back edges whose tree path covers it, and the odd ones
+    within c's subtree.  Subtrees and components are runs of the preorder.
+
+    - A bridge with a bipartite side: y is +-1 by depth parity on that side
+      (in a bipartite component, the side without its largest vertex), d = 1.
+    - A tree edge covered by every odd back edge of its component and by no
+      even one, or a component's only odd back edge: y is the +-1 colouring
+      of the component without that edge, whose ends share a colour, d = 2.
     """
-    n, m = g.n, g.m
-    rows = []
-    for v in range(n):
-        row = [0] * (m + n)
-        for _, eidx in g.incidence[v]:
-            row[eidx] = 1
-        row[m + v] = 1
-        rows.append(row)
-    pivots: list[int] = []
-    for col in range(m):
-        r = len(pivots)
-        p = next((i for i in range(r, n) if rows[i][col]), None)
-        if p is None:
+    n = g.n
+    order: list[int] = []                   # vertices in preorder
+    pre, up, depth, root = [-1] * n, [-1] * n, [0] * n, [0] * n
+    odd_cover, even_cover, odd_inside = [0] * n, [0] * n, [0] * n
+    for r in range(n):
+        if pre[r] >= 0:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        prow = rows[r]
-        a = prow[col]
-        for i in range(n):
-            b = rows[i][col]
-            if i == r or not b:
-                continue
-            row = [a * x - b * z for x, z in zip(rows[i], prow)]
-            div = gcd(*row)
-            rows[i] = [x // div for x in row] if div > 1 else row
-        pivots.append(col)
-    for r, col in enumerate(pivots):
-        row = rows[r]
-        if any(row[j] for j in range(m) if j != col):
+        pre[r] = len(order)
+        order.append(r)
+        root[r] = r
+        stack = [(r, iter(g._adjacency[r]))]
+        while stack:
+            v, rest = stack[-1]
+            for u in rest:
+                if pre[u] < 0:
+                    pre[u] = len(order)
+                    order.append(u)
+                    up[u], depth[u], root[u] = v, depth[v] + 1, r
+                    stack.append((u, iter(g._adjacency[u])))
+                    break
+                if pre[u] < pre[v] and u != up[v]:
+                    # a back edge from v up to u; each is seen once, here
+                    if (depth[v] - depth[u]) % 2:
+                        even_cover[v] += 1
+                        even_cover[u] -= 1
+                    else:
+                        odd_cover[v] += 1
+                        odd_cover[u] -= 1
+                        odd_inside[u] += 1
+            else:
+                stack.pop()
+    size = [1] * n
+    for v in reversed(order):
+        if (p := up[v]) >= 0:
+            size[p] += size[v]
+            odd_cover[p] += odd_cover[v]
+            even_cover[p] += even_cover[v]
+            odd_inside[p] += odd_inside[v]
+
+    y = [0] * n
+
+    def colour(vertices: list[int], anchor: int) -> None:
+        """+1 on the vertices at anchor's depth parity, -1 on the rest."""
+        for v in vertices:
+            y[v] = -1 if (depth[v] - depth[anchor]) % 2 else 1
+
+    for i, (u, w) in enumerate(g.edges):
+        r = root[u]
+        odd_in_comp = odd_inside[r]
+        start, stop = pre[r], pre[r] + size[r]     # r's component
+        if up[u] != w and up[w] != u:
+            if odd_in_comp == 1 and (depth[u] - depth[w]) % 2 == 0:
+                colour(order[start:stop], u)
+                return FlowObstruction(i, tuple(y), 2)
             continue
-        sign = 1 if row[col] > 0 else -1
-        obstruction = FlowObstruction(
-            col, tuple(sign * x for x in row[m:]), sign * row[col])
-        if not verify_obstruction(g, obstruction):
-            raise AssertionError("flow obstruction failed re-verification")
-        return obstruction
+        c, p = (u, w) if up[u] == w else (w, u)
+        lo, hi = pre[c], pre[c] + size[c]           # c's subtree
+        if odd_cover[c] or even_cover[c]:
+            if odd_in_comp and odd_cover[c] == odd_in_comp and not even_cover[c]:
+                colour(order[start:stop], p)
+                colour(order[lo:hi], c)
+                return FlowObstruction(i, tuple(y), 2)
+            continue
+        # a bridge, with odd_inside[c] of the component's odd back edges below
+        if odd_inside[c] == 0 and (odd_in_comp or not lo <= pre[max(order[start:stop])] < hi):
+            colour(order[lo:hi], c)
+        elif odd_inside[c] == odd_in_comp:
+            colour(order[start:lo] + order[hi:stop], p)
+        else:
+            continue
+        return FlowObstruction(i, tuple(y), 1)
     return None
 
 
@@ -134,45 +180,13 @@ def verify_obstruction(g: Graph, obs: FlowObstruction) -> bool:
                for i, (u, v) in enumerate(g.edges))
 
 
-def flow_exists_nonbipartite_test(g: Graph) -> bool:
-    """Existence test for connected non-bipartite graphs: a zero-sum flow
-    exists iff no single edge removal leaves a bipartite component.
-
-    A structural oracle for the tests; callers use flow_obstruction."""
-    comps = components(g)
-    if len(comps) != 1 or g.n == 0:
-        raise PreconditionError("existence test requires a connected graph")
-    if bipartition(g, comps[0]).valid:
-        raise PreconditionError(
-            "existence test requires a non-bipartite graph; use the bounded solver instead")
-    for drop in range(g.m):
-        edges = tuple(e for i, e in enumerate(g.edges) if i != drop)
-        h = Graph(g.n, edges)
-        for comp in components(h):
-            if bipartition(h, comp).valid:
-                return False
-    return True
-
-
-def find_zero_sum_flow(
-    g: Graph, k: int, node_budget: int | None = None
-) -> EdgeAssignment | None:
-    """The first zero-sum flow with values in {+-1, ..., +-(k-1)}, or None
-    when flow_obstruction proves there is none, when k = 2 and some vertex
-    has odd degree, or after a complete search: absence is certified.  More
-    than node_budget value assignments raise ResourceCapError (never a
-    false "none").  Components are searched in turn, on g itself."""
-    if k < 2:
-        raise PreconditionError("flow bound k must be >= 2")
-    return _search(g, k, -1 if node_budget is None else node_budget)[0]
-
-
 def least_bound_flow(g: Graph, bound: int, node_budget: int) -> EdgeAssignment | None:
-    """find_zero_sum_flow's flow at the smallest k = 2, ..., bound that has
-    one, or None after a complete search at bound, so absence is certified.
-    All bounds share node_budget; running out raises ResourceCapError.  The
-    bounds searched in full are kept in the graph's instance dict: a later
-    call resumes after them, with its own budget."""
+    """The first zero-sum flow with values in {+-1, ..., +-(k-1)} at the
+    smallest k = 2, ..., bound that has one, or None after a complete search
+    at bound, so absence is certified.  All bounds share node_budget; running
+    out raises ResourceCapError.  The bounds searched in full are kept in the
+    graph's instance dict: a later call resumes after them, with its own
+    budget."""
     if bound < 2:
         raise PreconditionError("flow bound must be >= 2")
     cache = vars(g)
@@ -187,7 +201,12 @@ def least_bound_flow(g: Graph, bound: int, node_budget: int) -> EdgeAssignment |
 
 
 def _search(g: Graph, k: int, budget: int) -> tuple[EdgeAssignment | None, int]:
-    """find_zero_sum_flow's answer at k, and what is left of budget."""
+    """The first flow with values in {+-1, ..., +-(k-1)}, or None when
+    flow_obstruction proves there is none, when k = 2 and some vertex has
+    odd degree, or after a complete search; and what is left of budget.
+    Past budget value assignments it raises ResourceCapError (never a false
+    "none"); a budget below 0 never runs out.  Components are searched in
+    turn, on g itself."""
     if k == 2 and any(g.degree(v) % 2 for v in range(g.n)):
         return None, budget
     if flow_obstruction(g) is not None:

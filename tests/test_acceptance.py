@@ -17,7 +17,6 @@ from signrank.factors import (
     count_nonzero_transversals,
     edge_membership,
     has_factor,
-    perrank_bruteforce,
     perrank_fast,
 )
 from signrank.graph_core import components, cut_edges, is_bipartite
@@ -28,7 +27,9 @@ from signrank.sign_search import (
     max_rank_over_signs,
 )
 from signrank.weight_search import find_singular_weight, verify_weight
-from signrank.zero_sum_flow import find_zero_sum_flow, verify_flow
+from signrank.zero_sum_flow import verify_flow
+
+from oracles import find_zero_sum_flow, perrank_bruteforce
 
 
 def _two_edge_connected(g) -> bool:

@@ -18,12 +18,12 @@ from signrank.factors import (
     enumerate_factors,
     has_factor,
     iter_factors,
-    perrank_bruteforce,
     perrank_fast,
 )
 from signrank.graph_core import Graph
 
 from conftest import complete, cycle, path, petersen, star
+from oracles import perrank_bruteforce
 
 
 def factor_oracle(g: Graph) -> set[frozenset[int]]:

@@ -277,16 +277,16 @@ class TestFlowEliminations:
         # analyze and verify flows ask for the flow answer at several gates
         # (the weight search, the flow block, the flows check); a graph with
         # a flow and a connected flow-free graph with t >= 2 (K4 minus an
-        # edge) are each eliminated at most once per record, the latter
-        # exactly once in each of its two records
+        # edge) each get at most one coloop search per record, the latter
+        # exactly one in each of its two records
         eliminated = []
-        original = zero_sum_flow._eliminate
+        original = zero_sum_flow._first_coloop
 
         def counting(g):
             eliminated.append(g)
             return original(g)
 
-        monkeypatch.setattr(zero_sum_flow, "_eliminate", counting)
+        monkeypatch.setattr(zero_sum_flow, "_first_coloop", counting)
         graphs = [cycle(4), Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))]
         run(graphs, RunConfig(command="analyze"))
         run(graphs, RunConfig(command="verify", theorem="flows"))
@@ -367,6 +367,20 @@ class TestSkipRecords:
         corpus = tmp_path / "k11.g6"
         corpus.write_text(encode_graph6(complete(11)) + "\n")
         assert cli.main(["factors", str(corpus)]) == 3
+
+    def test_edge_membership_above_the_cap(self, monkeypatch):
+        # with no flow nodes the weight search reads edge membership from
+        # the full listing; on K11 the count refuses it before any factor
+        def no_listing(g):
+            raise AssertionError("listed factors above the cap")
+
+        monkeypatch.setattr(factors, "iter_factors", no_listing)
+        report, summary = run([complete(11)],
+                              RunConfig(command="weightfind", caps=Caps(flow_nodes=0)))
+        _, (rec,), _ = parse_report(report)
+        assert rec["status"] == "skip" and "weight" not in rec
+        assert rec["reason"] == f"t=5238370 factors exceed the listing cap {factors.LISTING_CAP}"
+        assert summary["skip"] == 1
 
     def test_signfind_has_no_factor_cap(self):
         # has_factor is one double-cover matching, so signfind answers far

@@ -14,10 +14,10 @@ from signrank.sign_search import (
     max_rank_over_signs,
     min_rank_over_signs,
     spanning_forest,
-    switch_at_vertex,
 )
 
 from conftest import complete, cycle, grid, path
+from oracles import switch_at_vertex
 
 
 def random_graph(rng, n, p=0.5) -> Graph:

@@ -9,9 +9,10 @@ from signrank.exact_linalg import adjacency_matrix, det
 from signrank.factors import count_factors, count_factors_at_most
 from signrank.graph_core import Graph, components, parse_graph6
 from signrank.weight_search import find_singular_weight, verify_weight
-from signrank.zero_sum_flow import flow_exists_nonbipartite_test, flow_obstruction
+from signrank.zero_sum_flow import flow_obstruction
 
 from conftest import complete, cycle, path, star
+from oracles import flow_exists_nonbipartite_test
 
 
 class TestVerifyWeight:

@@ -5,21 +5,20 @@ import pytest
 
 from signrank.assignments import EdgeAssignment
 from signrank.errors import InvalidAssignmentError, PreconditionError, ResourceCapError
-from signrank.exact_linalg import adjacency_matrix, mat_vec
+from signrank.exact_linalg import adjacency_matrix, mat_vec, rank
 from signrank.graph_core import (
     Graph, bipartition, components, cut_edges, induced_subgraph, parse_graph6, spanning_forest)
 from signrank.zero_sum_flow import (
     FlowObstruction,
-    find_zero_sum_flow,
     flow_bound,
-    flow_exists_nonbipartite_test,
     flow_obstruction,
     least_bound_flow,
     verify_flow,
     verify_obstruction,
 )
 
-from conftest import complete, cycle
+from conftest import chain_of_4_cycles, complete, cycle, path
+from oracles import find_zero_sum_flow, flow_exists_nonbipartite_test
 
 
 def flow_oracle_exists(g: Graph, k: int) -> bool:
@@ -127,18 +126,64 @@ def structural_flow_exists(g: Graph) -> bool:
     return True
 
 
+def first_coloop(g: Graph) -> int | None:
+    """The smallest-index edge whose column of the vertex-edge incidence
+    matrix B lies in every basis (rank(B) drops without it), or None.
+    Every zero-sum flow vanishes on exactly these edges."""
+    b = [[1 if v in e else 0 for e in g.edges] for v in range(g.n)]
+    full = rank(b)
+    return next((i for i in range(g.m)
+                 if rank([row[:i] + row[i + 1:] for row in b]) < full), None)
+
+
+def check_against_rank(g: Graph) -> FlowObstruction | None:
+    """flow_obstruction(g), checked against the rank oracle: it exists iff
+    B has a coloop, it names the smallest-index one, and it re-checks."""
+    obs = flow_obstruction(g)
+    assert (None if obs is None else obs.edge) == first_coloop(g)
+    if obs is not None:
+        assert obstruction_holds(g, obs.edge, obs.y, obs.d)
+        assert verify_obstruction(g, obs)
+    return obs
+
+
 class TestObstruction:
     @pytest.mark.parametrize("corpus", ["corpus_le7", "corpus_bipartite_2ec_n8"])
     def test_certificates_and_structural_oracle(self, corpus, request):
         flow_free = 0
         for g in request.getfixturevalue(corpus):
-            obs = flow_obstruction(g)
+            obs = check_against_rank(g)
             assert (obs is None) == structural_flow_exists(g)
-            if obs is not None:
-                flow_free += 1
-                assert obstruction_holds(g, obs.edge, obs.y, obs.d)
-                assert verify_obstruction(g, obs)
+            flow_free += obs is not None
         assert flow_free == (664 if corpus == "corpus_le7" else 0)
+
+    def test_random_gnp_against_rank(self):
+        # sparse to dense, so both answers and both kinds of coloop occur
+        rng = random.Random(2024)
+        found = {None: 0, 1: 0, 2: 0}
+        for _ in range(240):
+            n = rng.randint(2, 30)
+            p = rng.choice((2.0, 2.5, 3.0, 4.0)) / n
+            g = Graph(n, tuple(e for e in combinations(range(n), 2) if rng.random() < p))
+            obs = check_against_rank(g)
+            found[None if obs is None else obs.d] += 1
+        assert min(found.values()) >= 10
+
+    def test_large_inputs_take_no_recursion(self):
+        # a 5,000-vertex path or cycle, and a 1,100-link chain of 4-cycles
+        # (3,301 vertices, 4,400 edges), with and without one chord
+        assert flow_obstruction(path(5000)) == FlowObstruction(0, (1,) + (0,) * 4999, 1)
+        assert flow_obstruction(cycle(5000)) is None
+        odd = cycle(5001)
+        obs = flow_obstruction(odd)
+        assert obs.edge == 0 and obs.d == 2 and verify_obstruction(odd, obs)
+        chain = chain_of_4_cycles(1100)
+        assert flow_obstruction(chain) is None
+        chord = Graph(chain.n, chain.edges + ((0, 2),))
+        obs = flow_obstruction(chord)
+        # the chord is the one edge on both triangles of the first 4-cycle
+        assert obs.edge == chord.edge_index(0, 2) and obs.d == 2
+        assert verify_obstruction(chord, obs)
 
     def test_flow_found_wherever_no_obstruction(self, corpus_le7):
         # the converse direction: "a flow exists" is confirmed by the search
