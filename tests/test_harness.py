@@ -279,19 +279,19 @@ class TestFlowEliminations:
         # a flow and a connected flow-free graph with t >= 2 (K4 minus an
         # edge) each get at most one coloop search per record, the latter
         # exactly one in each of its two records
-        eliminated = []
+        searched = []
         original = zero_sum_flow._first_coloop
 
         def counting(g):
-            eliminated.append(g)
+            searched.append(g)
             return original(g)
 
         monkeypatch.setattr(zero_sum_flow, "_first_coloop", counting)
         graphs = [cycle(4), Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))]
         run(graphs, RunConfig(command="analyze"))
         run(graphs, RunConfig(command="verify", theorem="flows"))
-        assert sum(g.edges == graphs[1].edges for g in eliminated) == 2
-        assert len({id(g) for g in eliminated}) == len(eliminated)
+        assert sum(g.edges == graphs[1].edges for g in searched) == 2
+        assert len({id(g) for g in searched}) == len(searched)
 
     @pytest.mark.parametrize("bound", [2, 6])
     def test_one_search_per_graph_and_bound(self, monkeypatch, bound):
@@ -393,7 +393,7 @@ class TestSkipRecords:
 
     @pytest.mark.parametrize("theorem", ["c22", "flows"])
     def test_tags_without_factor_table_have_no_factor_cap(self, theorem):
-        # c22 needs perrank_fast and the sign scan, flows the elimination and
+        # c22 needs perrank_fast and the sign scan, flows the coloop search and
         # the flow solver: neither is skipped above factor_n (n = 16 > 12)
         report, summary = run([grid(4, 4)], RunConfig(command="verify", theorem=theorem))
         _, (rec,), _ = parse_report(report)
