@@ -3,8 +3,8 @@
 
 Maintenance tooling, not part of the package: requires networkx, which is
 used as an independent reference (its graph atlas for all graphs on up to 7
-vertices, its isomorphism tester for deduplication).  The test suite only
-reads the committed .g6 files.
+vertices, its bridge test for 2-edge-connectivity, its isomorphism tester
+for deduplication).  The test suite only reads the committed .g6 files.
 
 Outputs:
   tests/data/graphs_le7.g6         all 1253 pairwise non-isomorphic graphs
@@ -25,7 +25,7 @@ from networkx.generators.atlas import graph_atlas_g
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from signrank.graph_core import Graph, components, cut_edges, encode_graph6, parse_graph6
+from signrank.graph_core import Graph, encode_graph6, parse_graph6
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
 EXPECTED_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -51,10 +51,6 @@ def atlas_corpus() -> list[str]:
     return lines
 
 
-def two_edge_connected(g: Graph) -> bool:
-    return g.n >= 3 and len(components(g)) == 1 and not cut_edges(g)
-
-
 def bipartite_2ec_order8() -> list[str]:
     found: dict[str, list[nx.Graph]] = defaultdict(list)
     out = []
@@ -72,16 +68,15 @@ def bipartite_2ec_order8() -> list[str]:
                 deg[v] += 1
             if min(deg) < 2:
                 continue
-            g = Graph(8, edges)
-            if not two_edge_connected(g):
-                continue
             G = nx.Graph(edges)
             G.add_nodes_from(range(8))
+            if not nx.is_connected(G) or nx.has_bridges(G):
+                continue
             key = nx.weisfeiler_lehman_graph_hash(G)
             if any(nx.is_isomorphic(G, H) for H in found[key]):
                 continue
             found[key].append(G)
-            out.append(encode_graph6(g))
+            out.append(encode_graph6(Graph(8, edges)))
     out.sort(key=lambda s: (parse_graph6(s).m, s))
     return out
 

@@ -1,23 +1,12 @@
 """Exact-arithmetic toolkit for signings and weightings of graph adjacency
 matrices: decide and construct edge signs giving full rank and nowhere-zero
-integer weights giving rank deficiency, with {1,2}-factor enumeration,
-symbolic determinant polynomials and zero-sum flows as the machinery.
-Matrices are plain lists of integer rows.
+integer weights giving rank deficiency, with {1,2}-factor enumeration and
+zero-sum flows as the machinery.  Matrices are plain lists of integer rows.
 """
 
 __version__ = "0.1.0"
 
 from .assignments import EdgeAssignment
-from .detpoly import (
-    DetPolynomial,
-    det_poly,
-    edge_degree_split,
-    evaluate,
-    is_single_monomial,
-    is_zero_polynomial,
-    reduce_squares,
-    to_text,
-)
 from .errors import (
     GraphParseError,
     InvalidAssignmentError,
@@ -35,11 +24,8 @@ from .factors import (
     perrank_fast,
 )
 from .graph_core import (
-    Bipartition,
     Graph,
-    bipartition,
     components,
-    cut_edges,
     encode_graph6,
     is_bipartite,
     parse_edge_list,

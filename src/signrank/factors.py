@@ -10,8 +10,8 @@ One subset DP over vertex sets (_FactorTable), built once per graph and
 kept with it while the graph lives, answers every count and listing: t(g),
 the nonzero-transversal count and count_factors_at_most read its counts
 without listing a factor, and iter_factors lists the factors (for
-listings, the determinant polynomial and edge membership) by walking the
-same table, taking only steps that lead to a factor.
+listings, edge membership and the t = 1 certificate) by walking the same
+table, taking only steps that lead to a factor.
 
 The table's time and memory grow exponentially with n whatever is asked of
 it: up to 3^n DP steps, plus a path table per vertex that holds every
@@ -43,20 +43,6 @@ class Factor(NamedTuple):
     k2_edges: tuple[int, ...]
     cycles: tuple[tuple[int, ...], ...]
     covered: frozenset[int]
-
-    @property
-    def k2_count(self) -> int:
-        return len(self.k2_edges)
-
-    @property
-    def cycle_count(self) -> int:
-        return len(self.cycles)
-
-    def edge_indices(self) -> frozenset[int]:
-        out = set(self.k2_edges)
-        for cyc in self.cycles:
-            out.update(cyc)
-        return frozenset(out)
 
 
 def iter_factors(g: Graph) -> Iterator[Factor]:

@@ -1,8 +1,8 @@
 """Simple undirected graphs with a frozen edge order, plus the structural
-predicates (connected components, spanning forests, bipartiteness, cut
-edges) that the rank searches depend on.  The predicates all read one walk,
-made once per graph and cached on it: a stack walk from each component's
-smallest vertex that records each vertex's forest edge and depth.
+predicates (connected components, spanning forests, bipartiteness) that the
+rank searches depend on.  The predicates all read one walk, made once per
+graph and cached on it: a stack walk from each component's smallest vertex
+that records each vertex's forest edge and depth.
 
 The edge order is canonical: it is fixed when a graph is built and defines
 the variable indexing x1..xm used by every polynomial, sign vector and
@@ -29,11 +29,10 @@ from .errors import GraphParseError
 
 
 class _Walk(NamedTuple):
-    """Per vertex, the forest edge to its parent (-1 at a root) and its
-    depth; the components by smallest vertex; the smallest vertices of those
-    with an edge between two depths of equal parity; the forest edges."""
+    """Per vertex, its depth; the components by smallest vertex; the
+    smallest vertices of those with an edge between two depths of equal
+    parity; the forest edges."""
 
-    parent: list[int]
     depth: list[int]
     components: tuple[frozenset[int], ...]
     odd: frozenset[int]
@@ -73,10 +72,6 @@ class Graph:
         return tuple(tuple(u for u, _ in a) for a in self.incidence)
 
     @cached_property
-    def _edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
     def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex tuple of (neighbor, edge index) pairs, neighbor-sorted."""
         inc = [[] for _ in range(self.n)]
@@ -108,28 +103,10 @@ class Graph:
                         odd.add(root)
             comps.append(frozenset(members))
         forest = frozenset(e for e in parent if e >= 0)
-        return _Walk(parent, depth, tuple(comps), frozenset(odd), forest)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adjacency[v]
+        return _Walk(depth, tuple(comps), frozenset(odd), forest)
 
     def degree(self, v: int) -> int:
         return len(self._adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_index
-
-    def edge_index(self, u: int, v: int) -> int:
-        return self._edge_index[(u, v) if u < v else (v, u)]
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Two-coloring of one connected component; valid iff the component is
-    bipartite, in which case every component edge joins the two sides."""
-
-    sides: tuple[frozenset[int], frozenset[int]]
-    valid: bool
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -245,36 +222,8 @@ def forest_parity(g: Graph) -> tuple[int, ...]:
     return tuple(d % 2 for d in g._walk.depth)
 
 
-def bipartition(g: Graph, comp: frozenset[int]) -> Bipartition:
-    """Two-color one connected component by the parity of each vertex's
-    depth in the walk.  Even depths (including the smallest vertex) form
-    side X."""
-    walk = g._walk
-    if comp and min(comp) in walk.odd:
-        return Bipartition((frozenset(), frozenset()), False)
-    x = frozenset(v for v in comp if walk.depth[v] % 2 == 0)
-    return Bipartition((x, comp - x), True)
-
-
 def is_bipartite(g: Graph) -> bool:
     return not g._walk.odd
-
-
-def cut_edges(g: Graph) -> frozenset[int]:
-    """Edge indices of all bridges: the forest edges that lie on the forest
-    path between the ends of no other edge."""
-    walk = g._walk
-    covered = set()
-    for i, (u, v) in enumerate(g.edges):
-        if i in walk.forest:
-            continue
-        while u != v:
-            if walk.depth[u] < walk.depth[v]:
-                u, v = v, u
-            e = walk.parent[u]
-            covered.add(e)
-            u = sum(g.edges[e]) - u  # up to the edge's other end
-    return walk.forest - covered
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:

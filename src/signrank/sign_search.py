@@ -63,10 +63,6 @@ class SignSearchOutcome:
         miss (above the cap it raises ResourceCapError instead)."""
         return self.witness is None
 
-    @property
-    def status(self) -> str:
-        return "certified_none" if self.certified_none else "witness"
-
 
 def iter_sign_representatives(g: Graph) -> Iterator[tuple[int, ...]]:
     """One sign vector per switching class: forest edges fixed to +1, the

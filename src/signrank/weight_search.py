@@ -35,10 +35,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .assignments import EdgeAssignment
-from .detpoly import det_poly, is_single_monomial, to_text
 from .errors import InvalidAssignmentError, ResourceCapError
 from .exact_linalg import adjacency_matrix, det, matrix_at_point
-from .factors import count_factors_at_most, edge_membership, iter_factors
+from .factors import Factor, count_factors_at_most, edge_membership, iter_factors
 from .graph_core import Graph, components, delete_edges, induced_subgraph
 from .zero_sum_flow import DEFAULT_FLOW_NODES, flow_bound, least_bound_flow
 
@@ -65,12 +64,6 @@ class WeightSearchOutcome:
     certificate_impossible: str | None
     identically_singular: bool = False
 
-    @property
-    def status(self) -> str:
-        if self.witness is not None:
-            return "witness"
-        return "impossible" if self.certificate_impossible else "inconclusive"
-
 
 def verify_weight(g: Graph, w: EdgeAssignment) -> str:
     """Exact verdict for a nowhere-zero weighting: "singular" or "full_rank"."""
@@ -92,11 +85,10 @@ def find_singular_weight(
         _check_witness(g, witness.values)
         return WeightSearchOutcome(witness, "exhaustive", None, identically_singular=True)
     if t2 == 1:
-        poly = det_poly(g)
-        assert is_single_monomial(poly)
+        mono = _monomial_text(next(iter_factors(g)))
         reason = (
             "unique factor: determinant polynomial is the single monomial "
-            f"{to_text(poly)}, nonzero at every nowhere-zero point"
+            f"{mono}, nonzero at every nowhere-zero point"
         )
         return WeightSearchOutcome(None, None, reason)
 
@@ -105,6 +97,18 @@ def find_singular_weight(
         return WeightSearchOutcome(None, None, None)
     _check_witness(g, values)
     return WeightSearchOutcome(EdgeAssignment(values, "weight"), route, None)
+
+
+def _monomial_text(f: Factor) -> str:
+    """The one term of the determinant polynomial when f is the only factor:
+    x_i^2 on its K2 edges and x_i on its cycle edges, in edge order, with
+    coefficient (-1)^(#K2 + #even cycles) * 2^(#cycles); "1" for n = 0."""
+    powers = dict.fromkeys(f.k2_edges, "^2")
+    powers.update((i, "") for cyc in f.cycles for i in cyc)
+    mono = "*".join(f"x{i + 1}{powers[i]}" for i in sorted(powers)) or "1"
+    negative = (len(f.k2_edges) + sum(len(c) % 2 == 0 for c in f.cycles)) % 2
+    scale = f"{1 << len(f.cycles)}*" if f.cycles else ""
+    return "-" * negative + scale + mono
 
 
 def _check_witness(g: Graph, values: tuple[int, ...]) -> None:

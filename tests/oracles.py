@@ -4,11 +4,12 @@ against.  None of them has a caller in the package itself."""
 from __future__ import annotations
 
 from itertools import combinations
+from math import prod
 
 from signrank.assignments import EdgeAssignment
 from signrank.errors import PreconditionError
-from signrank.factors import _table
-from signrank.graph_core import Graph, bipartition, components
+from signrank.factors import _table, iter_factors
+from signrank.graph_core import Graph, components, delete_edges, induced_subgraph, is_bipartite
 from signrank.zero_sum_flow import _search
 
 
@@ -18,16 +19,46 @@ def flow_exists_nonbipartite_test(g: Graph) -> bool:
     comps = components(g)
     if len(comps) != 1 or g.n == 0:
         raise PreconditionError("existence test requires a connected graph")
-    if bipartition(g, comps[0]).valid:
+    if is_bipartite(g):
         raise PreconditionError(
             "existence test requires a non-bipartite graph; use the bounded solver instead")
     for drop in range(g.m):
         edges = tuple(e for i, e in enumerate(g.edges) if i != drop)
         h = Graph(g.n, edges)
         for comp in components(h):
-            if bipartition(h, comp).valid:
+            if is_bipartite(induced_subgraph(h, comp)[0]):
                 return False
     return True
+
+
+def has_bridge(g: Graph) -> bool:
+    """Whether deleting some edge leaves more components than g has."""
+    base = len(components(g))
+    return any(len(components(delete_edges(g, (i,))[0])) > base for i in range(g.m))
+
+
+def factor_expansion(g: Graph) -> dict[tuple[int, ...], int]:
+    """The determinant polynomial of the symbolic adjacency matrix (x_i on
+    edge i) as exponent tuple -> coefficient, one term per {1,2}-factor:
+    exponent 2 on its K2 edges and 1 on its cycle edges, coefficient -1 per
+    K2 and (-1)^(length - 1) * 2 per cycle (its two orientations)."""
+    terms = {}
+    for f in iter_factors(g):
+        exp = [0] * g.m
+        coeff = (-1) ** len(f.k2_edges)
+        for i in f.k2_edges:
+            exp[i] = 2
+        for cyc in f.cycles:
+            coeff *= 2 * (-1) ** (len(cyc) - 1)
+            for i in cyc:
+                exp[i] = 1
+        terms[tuple(exp)] = coeff
+    return terms
+
+
+def expansion_at(terms: dict[tuple[int, ...], int], point) -> int:
+    """Exact value of an expansion at an integer point."""
+    return sum(c * prod(x ** e for x, e in zip(point, exp)) for exp, c in terms.items())
 
 
 def find_zero_sum_flow(

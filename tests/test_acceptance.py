@@ -10,7 +10,6 @@ graphs of order exactly 8.  Each test prints one summary line; run with
 import random
 from itertools import product
 
-from signrank.detpoly import det_poly, edge_degree_split, evaluate, is_zero_polynomial
 from signrank.exact_linalg import adjacency_matrix, det, mat_vec, permanent
 from signrank.factors import (
     count_factors,
@@ -19,7 +18,7 @@ from signrank.factors import (
     has_factor,
     perrank_fast,
 )
-from signrank.graph_core import components, cut_edges, is_bipartite
+from signrank.graph_core import components, is_bipartite
 from signrank.harness import RunConfig, run
 from signrank.sign_search import (
     find_fullrank_sign,
@@ -29,11 +28,17 @@ from signrank.sign_search import (
 from signrank.weight_search import find_singular_weight, verify_weight
 from signrank.zero_sum_flow import verify_flow
 
-from oracles import find_zero_sum_flow, perrank_bruteforce
+from oracles import (
+    expansion_at,
+    factor_expansion,
+    find_zero_sum_flow,
+    has_bridge,
+    perrank_bruteforce,
+)
 
 
 def _two_edge_connected(g) -> bool:
-    return g.n >= 3 and len(components(g)) == 1 and not cut_edges(g)
+    return g.n >= 3 and len(components(g)) == 1 and not has_bridge(g)
 
 
 def test_criterion_1_fullrank_sign_sweep(corpus_le7, no_samples):
@@ -137,25 +142,27 @@ def test_criterion_6_bounded_flows_on_bipartite_2ec(corpus_le7, corpus_bipartite
 
 
 def test_criterion_7_polynomial_cross_validation(corpus_le6):
-    """The factor-expansion polynomial matches the exact determinant at
-    random points, is homogeneous of degree n, and its per-edge degree split
-    matches factor membership computed independently."""
+    """The factor expansion of the determinant (tests/oracles.py) matches
+    the exact determinant at random points, is homogeneous of degree n, and
+    the degrees of each edge variable across its terms match factor
+    membership: 2 iff the edge is a K2 of some factor, 1 iff it lies on a
+    cycle of some factor, 0 iff some factor misses it."""
     rng = random.Random(20250810)
     for g in corpus_le6:
-        p = det_poly(g)
-        assert all(sum(exp) == g.n for exp in p.terms)
+        terms = factor_expansion(g)
+        assert all(sum(exp) == g.n for exp in terms)
         for _ in range(20):
             w = [rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(g.m)]
-            assert evaluate(p, w) == det(adjacency_matrix(g, w))
+            assert expansion_at(terms, w) == det(adjacency_matrix(g, w))
         prof = edge_membership(g)
         if prof.factor_total == 0:
-            assert is_zero_polynomial(p)
+            assert not terms
             continue
         for i in range(g.m):
-            quad, lin, const = edge_degree_split(p, i)
-            assert is_zero_polynomial(quad) == (not prof.in_k2[i])
-            assert is_zero_polynomial(lin) == (not prof.in_cycle[i])
-            assert is_zero_polynomial(const) == prof.in_all[i]
+            degrees = {exp[i] for exp in terms}
+            assert (2 in degrees) == prof.in_k2[i]
+            assert (1 in degrees) == prof.in_cycle[i]
+            assert (0 in degrees) == (not prof.in_all[i])
     print(f"ACCEPTANCE 7: polynomial/determinant/factor cross-validation on "
           f"{len(corpus_le6)} graphs n<=6 PASS")
 

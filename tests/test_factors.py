@@ -26,6 +26,11 @@ from conftest import complete, cycle, path, petersen, star
 from oracles import perrank_bruteforce
 
 
+def edge_set(f: Factor) -> frozenset[int]:
+    """The edge indices of a factor, K2s and cycles together."""
+    return frozenset(f.k2_edges).union(*f.cycles)
+
+
 def factor_oracle(g: Graph) -> set[frozenset[int]]:
     """Independent enumeration: every edge subset whose spanning subgraph has
     all degrees in {1, 2}, covers V, and splits into K2s and cycles (a
@@ -98,16 +103,16 @@ class TestEnumeration:
     def test_c4(self):
         facs = enumerate_factors(cycle(4))
         assert len(facs) == 3
-        assert {f.edge_indices() for f in facs} == factor_oracle(cycle(4))
-        kinds = sorted((f.k2_count, f.cycle_count) for f in facs)
+        assert {edge_set(f) for f in facs} == factor_oracle(cycle(4))
+        kinds = sorted((len(f.k2_edges), len(f.cycles)) for f in facs)
         assert kinds == [(0, 1), (2, 0), (2, 0)]
 
     def test_k4(self):
         facs = enumerate_factors(complete(4))
         assert len(facs) == 6
-        assert {f.edge_indices() for f in facs} == factor_oracle(complete(4))
-        assert sum(1 for f in facs if f.cycle_count == 1) == 3  # Hamiltonian cycles
-        assert sum(1 for f in facs if f.k2_count == 2) == 3  # perfect matchings
+        assert {edge_set(f) for f in facs} == factor_oracle(complete(4))
+        assert sum(1 for f in facs if len(f.cycles) == 1) == 3  # Hamiltonian cycles
+        assert sum(1 for f in facs if len(f.k2_edges) == 2) == 3  # perfect matchings
 
     def test_null_graph_has_empty_factor(self):
         facs = enumerate_factors(Graph(0, ()))
@@ -115,7 +120,7 @@ class TestEnumeration:
 
     def test_matches_oracle_up_to_n5(self, corpus_le5):
         for g in corpus_le5:
-            assert {f.edge_indices() for f in enumerate_factors(g)} == factor_oracle(g)
+            assert {edge_set(f) for f in enumerate_factors(g)} == factor_oracle(g)
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs)
@@ -141,7 +146,7 @@ class TestEnumeration:
             key = (f.k2_edges, f.cycles)
             assert key not in seen
             seen.add(key)
-            assert 2 * f.k2_count + sum(len(c) for c in f.cycles) == len(f.covered)
+            assert 2 * len(f.k2_edges) + sum(len(c) for c in f.cycles) == len(f.covered)
 
 
 class TestCounts:
@@ -194,6 +199,10 @@ def reference_factors(g: Graph) -> Iterator[Factor]:
     k2: list[int] = []
     cycles: list[tuple[int, ...]] = []
     adj = g._adjacency
+    index = {e: i for i, e in enumerate(g.edges)}
+
+    def edge_index(u: int, v: int) -> int:
+        return index[(u, v) if u < v else (v, u)]
 
     def next_uncovered(start: int) -> int:
         i = start
@@ -210,7 +219,7 @@ def reference_factors(g: Graph) -> Iterator[Factor]:
             if covered[u]:
                 continue
             covered[u] = True
-            k2.append(g.edge_index(v, u))
+            k2.append(edge_index(v, u))
             yield from rec(next_uncovered(v + 1))
             k2.pop()
             covered[u] = False
@@ -221,8 +230,8 @@ def reference_factors(g: Graph) -> Iterator[Factor]:
             for u in adj[current]:
                 if u == v and len(path) >= 3 and path[1] < path[-1]:
                     cyc = tuple(
-                        [g.edge_index(path[i], path[i + 1]) for i in range(len(path) - 1)]
-                        + [g.edge_index(path[-1], v)]
+                        [edge_index(path[i], path[i + 1]) for i in range(len(path) - 1)]
+                        + [edge_index(path[-1], v)]
                     )
                     cycles.append(cyc)
                     yield from rec(next_uncovered(v + 1))
@@ -247,7 +256,7 @@ def _gnp(rng: random.Random, n: int, p: float) -> Graph:
 def _listed_sums(g: Graph) -> tuple[int, int]:
     """The counts by the reference listing: (t, nonzero transversals)."""
     facs = list(reference_factors(g))
-    return len(facs), sum(2 ** f.cycle_count for f in facs)
+    return len(facs), sum(2 ** len(f.cycles) for f in facs)
 
 
 class TestCountingDP:
@@ -341,7 +350,7 @@ def brute_cycle_list(g: Graph, v: int, t: int) -> list:
             if steps_ok.issuperset(zip(path, path[1:])):
                 seq = (v, *path)
                 steps = zip(seq, seq[1:] + (v,))
-                out.append((seq, tuple(g.edge_index(x, y) for x, y in steps), t))
+                out.append((seq, tuple(g.edges.index(tuple(sorted(e))) for e in steps), t))
     return sorted(out)
 
 
@@ -406,8 +415,8 @@ class TestFactorContract:
                    covered=frozenset(range(11)))
         assert (f.k2_edges, f.cycles, f.covered) == ((0, 3), ((1, 2, 4), (5, 6, 7, 8)),
                                                      frozenset(range(11)))
-        assert f.k2_count == 2 and f.cycle_count == 2
-        assert f.edge_indices() == frozenset(range(9))
+        assert len(f.k2_edges) == 2 and len(f.cycles) == 2
+        assert edge_set(f) == frozenset(range(9))
 
     def test_equality_and_hashing(self):
         a = Factor((1,), ((0, 2, 3),), frozenset(range(5)))
@@ -483,8 +492,8 @@ class TestEdgeMembership:
         g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)))
         prof = edge_membership(g)
         assert prof.factor_total == 2
-        chord = g.edge_index(0, 2)
-        e34 = g.edge_index(3, 4)
+        chord = g.edges.index((0, 2))
+        e34 = g.edges.index((3, 4))
         assert not prof.in_all[chord] and prof.in_cycle[chord] and not prof.in_k2[chord]
         assert prof.in_all[e34] and prof.in_k2[e34] and prof.in_cycle[e34]
 

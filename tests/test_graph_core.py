@@ -5,11 +5,10 @@ import pytest
 from signrank.errors import GraphParseError
 from signrank.graph_core import (
     Graph,
-    bipartition,
     components,
-    cut_edges,
     delete_edges,
     encode_graph6,
+    forest_parity,
     induced_subgraph,
     is_bipartite,
     parse_edge_list,
@@ -18,6 +17,7 @@ from signrank.graph_core import (
 )
 
 from conftest import chain_of_4_cycles, complete, cycle, path
+from oracles import has_bridge
 
 
 def union_find_components(n: int, edges) -> tuple[int, bool]:
@@ -44,9 +44,10 @@ def union_find_components(n: int, edges) -> tuple[int, bool]:
 
 
 def reference_encode_graph6(g: Graph) -> str:
-    """The encoder that asked has_edge for all n(n-1)/2 vertex pairs, kept
-    as the reference for encode_graph6."""
+    """The encoder that asks about all n(n-1)/2 vertex pairs, kept as the
+    reference for encode_graph6."""
     n = g.n
+    edges = set(g.edges)
     if n <= 62:
         head = [n]
     elif n <= 258047:
@@ -56,7 +57,7 @@ def reference_encode_graph6(g: Graph) -> str:
     bits = []
     for j in range(1, n):
         for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
+            bits.append(1 if (i, j) in edges else 0)
     while len(bits) % 6:
         bits.append(0)
     body = []
@@ -197,23 +198,22 @@ class TestSpanningForest:
 
 
 class TestBipartition:
+    """is_bipartite, and the forest parity that colours a bipartite graph."""
+
     def test_c4_valid(self):
         g = cycle(4)
-        b = bipartition(g, components(g)[0])
-        assert b.valid
-        assert sorted(map(len, b.sides)) == [2, 2]
-        x, y = b.sides
+        parity = forest_parity(g)
+        assert is_bipartite(g)
+        assert sorted(parity) == [0, 0, 1, 1]
         for u, v in g.edges:
-            assert (u in x) != (v in x)
+            assert parity[u] != parity[v]
 
     def test_c3_invalid(self):
-        g = cycle(3)
-        assert not bipartition(g, components(g)[0]).valid
+        assert not is_bipartite(cycle(3))
 
     def test_single_vertex(self):
         g = Graph(1, ())
-        b = bipartition(g, frozenset({0}))
-        assert b.valid and b.sides == (frozenset({0}), frozenset())
+        assert is_bipartite(g) and forest_parity(g) == (0,)
 
     def test_is_bipartite(self):
         assert is_bipartite(cycle(6))
@@ -222,42 +222,47 @@ class TestBipartition:
 
     @pytest.mark.parametrize("corpus", ["corpus_le7", "corpus_bipartite_2ec_n8"])
     def test_matches_brute_force_colouring(self, corpus, request):
+        # the parity colours every forest edge properly, and every edge
+        # exactly when some colouring of each component does
         for g in request.getfixturevalue(corpus):
+            proper = True
             for comp in components(g):
                 verts = sorted(comp)
                 inner = [(u, v) for u, v in g.edges if u in comp]
-                proper = any(
+                proper &= any(
                     all((mask >> verts.index(u) & 1) != (mask >> verts.index(v) & 1)
                         for u, v in inner)
                     for mask in range(2 ** len(verts)))
-                b = bipartition(g, comp)
-                assert b.valid == proper
-                if b.valid:
-                    x, y = b.sides
-                    assert x | y == comp and not x & y
-                    assert all((u in x) != (v in x) for u, v in inner)
+            parity = forest_parity(g)
+            assert all(parity[u] != parity[v]
+                       for u, v in (g.edges[i] for i in spanning_forest(g)))
+            assert is_bipartite(g) == proper
+            assert all(parity[u] != parity[v] for u, v in g.edges) == proper
 
 
 class TestCutEdges:
+    """The bridge test of tests/oracles.py, which the flow tests and the
+    2-edge-connected sweep of the acceptance suite filter by."""
+
     def test_path(self):
-        assert cut_edges(path(3)) == frozenset({0, 1})
+        assert has_bridge(path(3))
 
     def test_cycle_has_none(self):
-        assert cut_edges(cycle(4)) == frozenset()
+        assert not has_bridge(cycle(4))
 
     def test_two_triangles_joined(self):
-        # triangles 0-1-2 and 3-4-5 joined by the edge 2-3
+        # triangles 0-1-2 and 3-4-5 joined by the edge 2-3, its one bridge
         g = Graph(6, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)))
-        assert cut_edges(g) == frozenset({g.edge_index(2, 3)})
+        assert has_bridge(g)
+        assert not has_bridge(delete_edges(g, (g.edges.index((2, 3)),))[0])
 
     def test_matches_component_count_oracle(self, corpus_le7):
-        # bridge <=> removing the edge increases the component count
+        # bridge <=> removing the edge increases the union-find component count
         for g in corpus_le7:
             base, _ = union_find_components(g.n, g.edges)
-            bridges = cut_edges(g)
-            for i in range(g.m):
-                rest = g.edges[:i] + g.edges[i + 1:]
-                assert (union_find_components(g.n, rest)[0] > base) == (i in bridges)
+            grows = any(union_find_components(g.n, g.edges[:i] + g.edges[i + 1:])[0] > base
+                        for i in range(g.m))
+            assert has_bridge(g) == grows
 
 
 class TestSubgraphs:
@@ -291,4 +296,3 @@ class TestGraphValidation:
     def test_pairs_normalized(self):
         g = Graph(3, ((2, 0),))
         assert g.edges == ((0, 2),)
-        assert g.edge_index(2, 0) == 0

@@ -34,7 +34,7 @@ class TestFindFullrankSign:
 
     def test_p3_certified_none(self):
         out = find_fullrank_sign(path(3))
-        assert out.status == "certified_none"
+        assert out.witness is None
         assert out.basis == "no_factor" and out.method == "randomized"
 
     def test_c4_witness(self):
@@ -71,7 +71,7 @@ class TestFindFullrankSign:
         # certifies before either phase of the schedule runs
         monkeypatch.setattr(sign_search, "SAMPLES_PER_EDGE", samples_per_edge)
         out = find_fullrank_sign(grid(5, 5))
-        assert out.status == "certified_none" and out.basis == "no_factor"
+        assert out.witness is None and out.basis == "no_factor"
         assert out.attempts == 0
 
     def test_exhaustive_cap(self, no_samples):

@@ -130,7 +130,6 @@ class TestRootHunts:
 class TestImpossibility:
     def test_k3_certificate(self):
         out = find_singular_weight(complete(3))
-        assert out.status == "impossible"
         assert out.witness is None
         assert "single monomial" in out.certificate_impossible
         # brute-force confirmation on a small weight grid
@@ -139,12 +138,12 @@ class TestImpossibility:
 
     def test_k2_certificate(self):
         out = find_singular_weight(complete(2))
-        assert out.status == "impossible"
+        assert out.witness is None and out.certificate_impossible
 
     def test_p4_certificate(self):
         out = find_singular_weight(path(4))
         assert count_factors(path(4)) == 1
-        assert out.status == "impossible"
+        assert out.witness is None and out.certificate_impossible
 
 
 class TestNoFactorConvention:
