@@ -17,6 +17,7 @@ Outputs:
 from __future__ import annotations
 
 import sys
+import warnings
 from collections import defaultdict
 from pathlib import Path
 
@@ -72,7 +73,13 @@ def bipartite_2ec_order8() -> list[str]:
             G.add_nodes_from(range(8))
             if not nx.is_connected(G) or nx.has_bridges(G):
                 continue
-            key = nx.weisfeiler_lehman_graph_hash(G)
+            with warnings.catch_warnings():
+                # networkx >= 3.5 warns that these hashes changed in v3.5; the
+                # hash is only a bucket key before is_isomorphic
+                warnings.filterwarnings(
+                    "ignore", message="The hashes produced for graphs without node or edge",
+                    category=UserWarning)
+                key = nx.weisfeiler_lehman_graph_hash(G)
             if any(nx.is_isomorphic(G, H) for H in found[key]):
                 continue
             found[key].append(G)

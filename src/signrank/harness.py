@@ -48,7 +48,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable
 
 try:
@@ -95,6 +95,11 @@ class Caps:
     flow_nodes: int = DEFAULT_FLOW_NODES  # search nodes of a flow climb, all bounds together
 
 
+# read by name, not with vars(): that would give each caller's Caps a dict of
+# its own for as long as the caller keeps it (64 B each in Python 3.11)
+_CAP_NAMES = tuple(f.name for f in fields(Caps))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -116,7 +121,7 @@ def parse_caps(text: str) -> Caps:
     for item in text.split(","):
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in vars(caps):
+        if key not in _CAP_NAMES:
             raise ValueError(f"unknown cap {key!r}")
         number = int(value)
         if number < 0:
@@ -387,7 +392,7 @@ def write_report(graphs: Iterable[Graph], cfg: RunConfig,
     tasks = [(cfg.command, i, g.n, g.edges, cfg) for i, g in enumerate(graphs)]
     write(_dumps({"signrank_report": 1, "version": __version__, "command": cfg.command,
                   "theorem": cfg.theorem, "seed": cfg.seed, "bound": cfg.bound,
-                  "caps": vars(cfg.caps)}) + "\n")
+                  "caps": {key: getattr(cfg.caps, key) for key in _CAP_NAMES}}) + "\n")
     summary = {"records": 0, "pass": 0, "fail": 0, "skip": 0, "partial": 0}
 
     def emit(rec: dict) -> None:

@@ -24,8 +24,7 @@ cancel the vertex's partial sum, and a vertex whose partial sum cannot be
 cancelled by its remaining undecided edges prunes the branch.  Free choices
 are therefore only needed outside a spanning forest, whose edges come last
 in the search order.  It runs only on graphs that pass the exact test, so it
-answers "none" only for a bound k too small; at k = 2 it answers "none" with
-no search when a vertex has odd degree.
+answers "none" only for a bound k too small.
 
 A balance condition cuts branches that forcing cannot see.  Colour each
 vertex by the parity of its forest depth, and call an edge between two
@@ -38,6 +37,18 @@ parity that a non-bipartite rest would need always holds.)  Every flow meets
 the condition, so it cuts only branches with no flow, and the branches kept
 are tried in the same order: the first flow found is the same, in fewer
 nodes.
+
+Relaxations prove "none" at the two smallest bounds.  A k-flow taken mod k
+is nonzero on every edge with every vertex sum 0 mod k.  Mod 2 that needs
+every degree even, so k = 2 answers "none" at an odd degree with no search.
+Mod 3 it is a nowhere-zero Z_3 flow of the all-negative bidirected graph
+(Bouchet, "Nowhere-zero integral flows on a bidirected graph", J. Combin.
+Theory Ser. B 1983), and k = 3 first runs the same search for one, with
++-1 standing for the residues 1 and 2 and every sum read mod 3.  When there
+is none, k = 3 has no flow: over the graphs of order at most 7, the 141
+with a flow but no 3-flow are refuted in 5,434 nodes, against 70,904 for
+the integer search.  When there is one, the integer search runs as it would
+alone, so the first flow is the same; both searches spend one budget.
 
 Callers get their flows from one climb, `least_bound_flow`: the solver at
 k = 2, 3, ... up to a bound, under one node budget, returning the first flow
@@ -203,33 +214,49 @@ def least_bound_flow(g: Graph, bound: int, node_budget: int) -> EdgeAssignment |
 def _search(g: Graph, k: int, budget: int) -> tuple[EdgeAssignment | None, int]:
     """The first flow with values in {+-1, ..., +-(k-1)}, or None when
     flow_obstruction proves there is none, when k = 2 and some vertex has
-    odd degree, or after a complete search; and what is left of budget.
-    Past budget value assignments it raises ResourceCapError (never a false
-    "none"); a budget below 0 never runs out.  Components are searched in
-    turn, on g itself."""
+    odd degree (no flow mod 2), when k = 3 and a complete search mod 3 finds
+    no flow mod 3, or after a complete search; and what is left of budget.
+    Past budget value assignments, those of the search mod 3 included, it
+    raises ResourceCapError (never a false "none"); a budget below 0 never
+    runs out.  Components are searched in turn, on g itself."""
     if k == 2 and any(g.degree(v) % 2 for v in range(g.n)):
         return None, budget
     if flow_obstruction(g) is not None:
         return None, budget
+    if k == 3:
+        residues, budget = _first_flow(g, 2, budget, modulus=3)
+        if residues is None:
+            return None, budget
+    values, budget = _first_flow(g, k, budget)
+    return (None if values is None else EdgeAssignment(values, "flow")), budget
+
+
+def _first_flow(
+    g: Graph, k: int, budget: int, modulus: int = 0
+) -> tuple[tuple[int, ...] | None, int]:
+    """The depth-first search behind _search: the first values in
+    {+-1, ..., +-(k-1)}, edge by edge in _search_plan's order, whose vertex
+    sums are 0, or with modulus 3 are 0 mod 3; or None after a complete
+    search.  Returns what is left of budget too."""
     orders, tilt = _search_plan(g)
     values = [0] * g.m
     undecided = [g.degree(v) for v in range(g.n)]
     partial = [0] * g.n
     limit = k - 1
     vals = tuple(x for v in range(1, k) for x in (v, -v))
+    # the parity test of the balance condition holds only for +-1 sums that
+    # are not reduced mod 3
+    parity = limit == 1 and not modulus
     # the balance of the component being searched (half its signed partial
-    # sum) and how many of its tilted edges are still undecided
+    # sum; mod 3, finished components leave a multiple of 3 in it) and how
+    # many of its tilted edges are still undecided
     balance = tilted = 0
-
-    def feasible(v: int) -> bool:
-        if undecided[v] == 0:
-            return partial[v] == 0
-        return abs(partial[v]) <= limit * undecided[v]
 
     def assign(eidx: int, val: int, trail: list[int]) -> bool:
         """Set one edge and run forcing to a fixed point.  Records every set
         edge on the trail; returns False on contradiction.  The budget is
-        decremented per assignment; one below 0 never runs out."""
+        decremented per assignment; one below 0 never runs out.  Mod 3 every
+        check reads a sum as its residue in {-1, 0, 1}, and limit is 1."""
         nonlocal budget, balance, tilted
         queue = [(eidx, val)]
         while queue:
@@ -254,20 +281,21 @@ def _search(g: Graph, k: int, budget: int) -> tuple[EdgeAssignment | None, int]:
                 tilted -= 1
                 # each open tilted edge moves the balance by +-1..+-limit,
                 # and together they must bring it back to 0
-                r = abs(balance)
-                if (r > limit * tilted or (tilted == 1 and r == 0)
-                        or (limit == 1 and (r + tilted) % 2)):
+                r = abs((balance + 1) % 3 - 1 if modulus else balance)
+                if r > limit * tilted or (tilted == 1 and r == 0) or (parity and (r + tilted) % 2):
                     return False
             for v in g.edges[e]:
-                if not feasible(v):
+                # the open edges at v must be able to cancel its sum s, and
+                # when one is left, it takes the value -s
+                s = (partial[v] + 1) % 3 - 1 if modulus else partial[v]
+                if abs(s) > limit * undecided[v]:
                     return False
                 if undecided[v] == 1:
-                    forced = -partial[v]
-                    if forced == 0 or abs(forced) > limit:
+                    if s == 0:
                         return False
                     for u, e2 in g.incidence[v]:
                         if values[e2] == 0:
-                            queue.append((e2, forced))
+                            queue.append((e2, -s))
                             break
         return True
 
@@ -310,7 +338,7 @@ def _search(g: Graph, k: int, budget: int) -> tuple[EdgeAssignment | None, int]:
             else:
                 undo(trail)
                 vi += 1
-    return EdgeAssignment(tuple(values), "flow"), budget
+    return tuple(values), budget
 
 
 def _search_plan(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:

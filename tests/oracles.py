@@ -3,7 +3,7 @@ against.  None of them has a caller in the package itself."""
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 from signrank.assignments import EdgeAssignment
@@ -94,3 +94,39 @@ def switch_at_vertex(g: Graph, values: tuple[int, ...], v: int) -> tuple[int, ..
     for _, eidx in g.incidence[v]:
         out[eidx] = -out[eidx]
     return tuple(out)
+
+
+def mod3_flow(g: Graph) -> tuple[int, ...] | None:
+    """A nowhere-zero flow mod 3 (values in {1, 2}, every vertex sum 0 mod
+    3), or None when there is none.  A basis of ker B over GF(3), B the
+    vertex-edge incidence matrix, has one vector per free column of B's
+    reduced row echelon form; a kernel vector is nowhere zero only if its
+    coordinate on each free column, the coefficient of that column's basis
+    vector, is 1 or 2, so every such combination is tried in turn."""
+    rows = [[int(v in e) for e in g.edges] for v in range(g.n)]
+    pivots: list[int] = []
+    for c in range(g.m):
+        r = len(pivots)
+        p = next((i for i in range(r, g.n) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inverse = rows[r][c]  # 1 and 2 are their own inverses mod 3
+        pivot = rows[r] = [x * inverse % 3 for x in rows[r]]
+        for i in range(g.n):
+            if i != r and (factor := rows[i][c]):
+                rows[i] = [(x - factor * y) % 3 for x, y in zip(rows[i], pivot)]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(g.m) if c not in pivots):
+        vec = [0] * g.m
+        vec[f] = 1
+        for i, c in enumerate(pivots):
+            vec[c] = -rows[i][f] % 3
+        basis.append(vec)
+    for coeffs in product((1, 2), repeat=len(basis)):
+        # the free coordinates are the coefficients, nonzero by choice
+        if all(sum(a * vec[c] for a, vec in zip(coeffs, basis)) % 3 for c in pivots):
+            return tuple(sum(a * vec[e] for a, vec in zip(coeffs, basis)) % 3
+                         for e in range(g.m))
+    return None

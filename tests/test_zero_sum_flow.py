@@ -10,6 +10,8 @@ from signrank.graph_core import (
     Graph, components, induced_subgraph, is_bipartite, parse_graph6, spanning_forest)
 from signrank.zero_sum_flow import (
     FlowObstruction,
+    _first_flow,
+    _search,
     flow_bound,
     flow_obstruction,
     least_bound_flow,
@@ -18,7 +20,7 @@ from signrank.zero_sum_flow import (
 )
 
 from conftest import chain_of_4_cycles, complete, cycle, path
-from oracles import find_zero_sum_flow, flow_exists_nonbipartite_test, has_bridge
+from oracles import find_zero_sum_flow, flow_exists_nonbipartite_test, has_bridge, mod3_flow
 
 
 def flow_oracle_exists(g: Graph, k: int) -> bool:
@@ -270,10 +272,11 @@ class TestSolver:
         return Graph(a.n + b.n, a.edges + tuple((u + a.n, v + a.n) for u, v in b.edges))
 
     # per order of the parts: the flow at k = 3, and the smallest node budget
-    # that does not raise at k = 3
+    # that does not raise at k = 3 (10 nodes find a flow mod 3, then 13 the
+    # flow itself)
     PINNED = {
-        "C4+K4": ((-1, 1, -1, 1, -2, 1, 1, 1, 1, -2), 13),
-        "K4+C4": ((-2, 1, 1, 1, 1, -2, -1, 1, -1, 1), 13),
+        "C4+K4": ((-1, 1, -1, 1, -2, 1, 1, 1, 1, -2), 23),
+        "K4+C4": ((-2, 1, 1, 1, 1, -2, -1, 1, -1, 1), 23),
     }
 
     @pytest.mark.parametrize("order", ["C4+K4", "K4+C4"])
@@ -306,29 +309,32 @@ class TestSolver:
             find_zero_sum_flow(complete(6), 6, node_budget=0)
 
     def test_climb_shares_one_budget(self):
-        # alone, k = 2 takes 68 nodes to find no flow and k = 3 takes 25 to
-        # find one: 68 covers either bound, and the climb to 3 needs 93
+        # alone, k = 2 takes 68 nodes to find no flow and k = 3 takes 42 to
+        # find one (17 for a flow mod 3, then 25): 68 covers either bound,
+        # and the climb to 3 needs 110
         g = parse_graph6("FF~]o")
         assert find_zero_sum_flow(g, 2, node_budget=68) is None
-        flow = find_zero_sum_flow(g, 3, node_budget=25)
+        flow = find_zero_sum_flow(g, 3, node_budget=42)
         assert flow is not None
-        for k, nodes in ((2, 68), (3, 25)):
+        for k, nodes in ((2, 68), (3, 42)):
             with pytest.raises(ResourceCapError):
                 find_zero_sum_flow(g, k, node_budget=nodes - 1)
         # a climb keeps its progress with the graph, so each climb here gets
         # a graph of its own
         with pytest.raises(ResourceCapError):
-            least_bound_flow(parse_graph6("FF~]o"), 3, node_budget=92)
-        assert least_bound_flow(parse_graph6("FF~]o"), 3, node_budget=93) == flow
+            least_bound_flow(parse_graph6("FF~]o"), 3, node_budget=109)
+        assert least_bound_flow(parse_graph6("FF~]o"), 3, node_budget=110) == flow
 
     def test_climb_resumes_from_the_graph(self):
         # a climb stopped at k = 3 has searched k = 2 in full: a bound of 2
-        # needs no node, and k = 3 only its own 25
+        # needs no node, and k = 3 only its own 42
         g = parse_graph6("FF~]o")
         with pytest.raises(ResourceCapError):
-            least_bound_flow(g, 3, node_budget=92)
+            least_bound_flow(g, 3, node_budget=109)
         assert least_bound_flow(g, 2, node_budget=0) is None
-        flow = least_bound_flow(g, 3, node_budget=25)
+        with pytest.raises(ResourceCapError):
+            least_bound_flow(g, 3, node_budget=41)
+        flow = least_bound_flow(g, 3, node_budget=42)
         assert flow == find_zero_sum_flow(g, 3)
         assert least_bound_flow(g, 12, node_budget=0) == flow
 
@@ -366,10 +372,12 @@ class TestSolver:
 
 
 class TestAgainstReference:
-    """The search with the parity shortcut and the balance condition against
-    reference_flow, which has neither: the same flows and the same "none",
-    under a budget that neither search reaches; and the climb's flow against
-    the reference's at the smallest bound that has one."""
+    """The search with the parity shortcut, the balance condition and the
+    relaxation mod 3 at k = 3 against reference_flow, which has none of
+    them: the same flows and the same "none", under a budget that neither
+    search reaches, and "none" at k = 3 wherever the relaxation finds no
+    flow mod 3; and the climb's flow against the reference's at the smallest
+    bound that has one."""
 
     BUDGET = 10**6
 
@@ -383,6 +391,8 @@ class TestAgainstReference:
                 found = find_zero_sum_flow(g, k, node_budget=self.BUDGET)
                 reference = reference_flow(g, k, self.BUDGET)
                 assert (found and found.values) == reference
+                if k == 3 and _first_flow(g, 2, self.BUDGET, modulus=3)[0] is None:
+                    assert reference is None
                 least = least or reference
             assert least_bound_flow(g, flow_bound(g), self.BUDGET).values == least
 
@@ -414,6 +424,62 @@ class TestAgainstReference:
         assert flow is not None and verify_flow(g, flow)
         with pytest.raises(ResourceCapError):
             reference_flow(g, 12, 100)
+
+
+def is_mod3_flow(g: Graph, values: tuple[int, ...]) -> bool:
+    """Whether values are nonzero mod 3 on every edge of g, with every vertex
+    sum 0 mod 3."""
+    sums = [0] * g.n
+    for (u, v), x in zip(g.edges, values):
+        sums[u] += x
+        sums[v] += x
+    return len(values) == g.m and all(x % 3 for x in values) and all(s % 3 == 0 for s in sums)
+
+
+class TestModThreeRelaxation:
+    """The search mod 3 that _search runs at k = 3 before the integer
+    search, with +-1 for the residues 1 and 2, against mod3_flow, which
+    tries every combination of a basis of ker B over GF(3)."""
+
+    @staticmethod
+    def refutes(g: Graph) -> bool:
+        found = _first_flow(g, 2, -1, modulus=3)[0]
+        oracle = mod3_flow(g)
+        assert (found is None) == (oracle is None)
+        if found is not None:
+            assert set(found) <= {1, -1} and is_mod3_flow(g, found)
+            assert is_mod3_flow(g, oracle)
+        return found is None
+
+    @pytest.mark.parametrize("corpus", ["corpus_le7", "corpus_bipartite_2ec_n8"])
+    def test_corpora(self, corpus, request):
+        refuted = sum(map(self.refutes, request.getfixturevalue(corpus)))
+        # le7: the 664 graphs with no flow at all and the 141 with no 3-flow
+        assert refuted == (805 if corpus == "corpus_le7" else 7)
+
+    def test_random_gnp(self):
+        # per kind: a flow mod 3, no flow at all, a flow but none mod 3; a
+        # flow mod 3 next to an obstruction (d f_e = 0 with d = 1 or 2 forces
+        # f_e = 0 mod 3) would be a KeyError
+        rng = random.Random(2009)
+        kinds = {(False, True): 0, (True, False): 0, (True, True): 0}
+        for _ in range(240):
+            n = rng.randint(3, 12)
+            p = min(1.0, rng.choice((3.0, 4.0, 5.0, 6.0)) / n)
+            g = Graph(n, tuple(e for e in combinations(range(n), 2) if rng.random() < p))
+            kinds[self.refutes(g), flow_obstruction(g) is None] += 1
+        assert min(kinds.values()) >= 10
+
+    def test_refutations_are_cheap(self, corpus_le7):
+        # without the relaxation, the 141 graphs with a flow but no 3-flow
+        # took 70,904 nodes to refute one; with it, 5,434
+        budget = 10**6
+        spent = 0
+        for g in corpus_le7:
+            flow, left = _search(g, 3, budget)
+            if flow is None:
+                spent += budget - left
+        assert spent <= 9_000
 
 
 class TestVerifyFlow:
