@@ -94,8 +94,19 @@ def iter_factors(g: Graph) -> Iterator[Factor]:
 
 
 def enumerate_factors(g: Graph) -> list[Factor]:
-    """All {1,2}-factors, canonically sorted."""
+    """All {1,2}-factors, canonically sorted; raises ResourceCapError, before
+    listing any factor, if t > LISTING_CAP."""
+    _listable(g)
     return sorted(iter_factors(g))
+
+
+def _listable(g: Graph) -> int:
+    """t(g); raises ResourceCapError if t > LISTING_CAP, before a full
+    listing starts."""
+    t = count_factors(g)
+    if t > LISTING_CAP:
+        raise ResourceCapError(f"t={t} factors exceed the listing cap {LISTING_CAP}")
+    return t
 
 
 def count_factors(g: Graph) -> int:
@@ -425,16 +436,12 @@ class EdgeMembership:
 def edge_membership(g: Graph) -> EdgeMembership:
     """Read from the full factor listing; raises ResourceCapError, before
     listing any factor, if t > LISTING_CAP."""
-    t = count_factors(g)
-    if t > LISTING_CAP:
-        raise ResourceCapError(f"t={t} factors exceed the listing cap {LISTING_CAP}")
+    t = _listable(g)
     m = g.m
     in_k2 = [False] * m
     in_cycle = [False] * m
     presence = [0] * m
-    total = 0
     for f in iter_factors(g):
-        total += 1
         for i in f.k2_edges:
             in_k2[i] = True
             presence[i] += 1
@@ -442,5 +449,5 @@ def edge_membership(g: Graph) -> EdgeMembership:
             for i in cyc:
                 in_cycle[i] = True
                 presence[i] += 1
-    in_all = [total > 0 and presence[i] == total for i in range(m)]
-    return EdgeMembership(total, tuple(in_k2), tuple(in_cycle), tuple(in_all))
+    in_all = [t > 0 and presence[i] == t for i in range(m)]
+    return EdgeMembership(t, tuple(in_k2), tuple(in_cycle), tuple(in_all))

@@ -1,8 +1,12 @@
 """Simple undirected graphs with a frozen edge order, plus the structural
 predicates (connected components, spanning forests, bipartiteness) that the
-rank searches depend on.  The predicates all read one walk, made once per
-graph and cached on it: a stack walk from each component's smallest vertex
-that records each vertex's forest edge and depth.
+rank searches depend on.  They, and the flow obstruction, read one walk,
+made once per graph and cached on it: from each component's smallest
+vertex, a stack walk that records each vertex's parent and depth and the
+order of the pops.  That order is a preorder, so every subtree and every
+component is a run of it.  For an edge ab outside the forest, with a popped
+first, b was waiting on the stack, so b's parent is the lowest common
+ancestor of a and b.
 
 The edge order is canonical: it is fixed when a graph is built and defines
 the variable indexing x1..xm used by every polynomial, sign vector and
@@ -29,13 +33,13 @@ from .errors import GraphParseError
 
 
 class _Walk(NamedTuple):
-    """Per vertex, its depth; the components by smallest vertex; the
-    smallest vertices of those with an edge between two depths of equal
-    parity; the forest edges."""
+    """Per vertex, its depth and its parent (-1 at a root); the vertices in
+    the order popped; the components by smallest vertex; the forest edges."""
 
     depth: list[int]
+    up: list[int]
+    order: list[int]
     components: tuple[frozenset[int], ...]
-    odd: frozenset[int]
     forest: frozenset[int]
 
 
@@ -85,25 +89,23 @@ class Graph:
         """The one traversal: from each component's smallest vertex, in
         vertex order, pop a vertex and push its unseen neighbors in
         neighbor order, each through a forest edge."""
-        parent, depth = [-1] * self.n, [-1] * self.n
-        comps, odd = [], set()
+        up, depth, order = [-1] * self.n, [-1] * self.n, []
+        comps, forest = [], set()
         for root in range(self.n):
             if depth[root] >= 0:
                 continue
             depth[root] = 0
-            stack, members = [root], [root]
+            start, stack = len(order), [root]
             while stack:
                 v = stack.pop()
+                order.append(v)
                 for u, eidx in self.incidence[v]:
                     if depth[u] < 0:
-                        parent[u], depth[u] = eidx, depth[v] + 1
+                        up[u], depth[u] = v, depth[v] + 1
+                        forest.add(eidx)
                         stack.append(u)
-                        members.append(u)
-                    elif (depth[u] - depth[v]) % 2 == 0:
-                        odd.add(root)
-            comps.append(frozenset(members))
-        forest = frozenset(e for e in parent if e >= 0)
-        return _Walk(depth, tuple(comps), frozenset(odd), forest)
+            comps.append(frozenset(order[start:]))
+        return _Walk(depth, up, order, tuple(comps), frozenset(forest))
 
     def degree(self, v: int) -> int:
         return len(self._adjacency[v])
@@ -223,7 +225,9 @@ def forest_parity(g: Graph) -> tuple[int, ...]:
 
 
 def is_bipartite(g: Graph) -> bool:
-    return not g._walk.odd
+    """Whether every edge joins the two forest depth parities."""
+    depth = g._walk.depth
+    return all((depth[u] - depth[v]) % 2 for u, v in g.edges)
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:

@@ -15,7 +15,10 @@ of a non-bipartite component.  `flow_obstruction` names the smallest-index
 coloop with an integer vertex vector y and a d > 0 such that y[u] + y[v] is
 d on e and 0 on every other edge uv.  Summing the vertex equations of any
 zero-sum flow with weights y gives d f_e = 0, and `verify_obstruction`
-re-checks y, d and e from the graph alone.
+re-checks y, d and e from the graph alone.  The coloops are read off the
+graph's one walk (see graph_core): an edge outside its forest closes a
+cycle through the lowest common ancestor of its ends, so one pass of sums
+up the forest counts the odd and the even cycles over each forest edge.
 
 A zero-sum k-flow uses values in {+-1, ..., +-(k-1)}.  The bounded solver is
 a complete backtracking search with constraint propagation: whenever a
@@ -65,7 +68,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .assignments import EdgeAssignment
-from .errors import InvalidAssignmentError, PreconditionError, ResourceCapError
+from .errors import PreconditionError, ResourceCapError
 from .graph_core import Graph, components, forest_parity, is_bipartite, spanning_forest
 
 DEFAULT_FLOW_NODES = 2_000_000  # a weight search's flow climb, and the flow_nodes cap
@@ -97,49 +100,36 @@ def flow_obstruction(g: Graph) -> FlowObstruction | None:
 def _first_coloop(g: Graph) -> FlowObstruction | None:
     """The obstruction at the smallest-index coloop of B, or None.
 
-    One depth-first search without recursion makes every edge outside its
-    forest a back edge, odd when its ends' depths have one parity.  Sums
-    from the leaves up give, per tree edge (kept at its lower end c), the
-    odd and the even back edges whose tree path covers it, and the odd ones
-    within c's subtree.  Subtrees and components are runs of the preorder.
+    Each edge ab outside the walk's forest, with b popped later, marks +1
+    at a and at b and -2 at b's parent, their lowest common ancestor.
+    Summed from the leaves up, the marks give per tree edge (kept at its
+    lower end c) the odd cycles (a, b at depths of one parity) and the even
+    ones that cover it; a 1 at the ancestor per odd cycle gives those within
+    c's subtree.  Subtrees and components are runs of the walk's order.
 
     - A bridge with a bipartite side: y is +-1 by depth parity on that side
       (in a bipartite component, the side without its largest vertex), d = 1.
-    - A tree edge covered by every odd back edge of its component and by no
-      even one, or a component's only odd back edge: y is the +-1 colouring
-      of the component without that edge, whose ends share a colour, d = 2.
+    - A tree edge covered by every odd cycle of its component and by no
+      even one, or a component's only odd edge outside the forest: y is the
+      +-1 colouring of the component without that edge, whose ends share a
+      colour, d = 2.
     """
     n = g.n
-    order: list[int] = []                   # vertices in preorder
-    pre, up, depth, root = [-1] * n, [-1] * n, [0] * n, [0] * n
+    walk = g._walk
+    depth, up, order = walk.depth, walk.up, walk.order
+    pre, root = [0] * n, [0] * n
+    for i, v in enumerate(order):
+        pre[v], root[v] = i, v if up[v] < 0 else root[up[v]]
     odd_cover, even_cover, odd_inside = [0] * n, [0] * n, [0] * n
-    for r in range(n):
-        if pre[r] >= 0:
-            continue
-        pre[r] = len(order)
-        order.append(r)
-        root[r] = r
-        stack = [(r, iter(g._adjacency[r]))]
-        while stack:
-            v, rest = stack[-1]
-            for u in rest:
-                if pre[u] < 0:
-                    pre[u] = len(order)
-                    order.append(u)
-                    up[u], depth[u], root[u] = v, depth[v] + 1, r
-                    stack.append((u, iter(g._adjacency[u])))
-                    break
-                if pre[u] < pre[v] and u != up[v]:
-                    # a back edge from v up to u; each is seen once, here
-                    if (depth[v] - depth[u]) % 2:
-                        even_cover[v] += 1
-                        even_cover[u] -= 1
-                    else:
-                        odd_cover[v] += 1
-                        odd_cover[u] -= 1
-                        odd_inside[u] += 1
-            else:
-                stack.pop()
+    for i, (a, b) in enumerate(g.edges):
+        if i not in walk.forest:
+            w = up[b if pre[a] < pre[b] else a]
+            odd = (depth[a] - depth[b]) % 2 == 0
+            cover = odd_cover if odd else even_cover
+            cover[a] += 1
+            cover[b] += 1
+            cover[w] -= 2
+            odd_inside[w] += odd
     size = [1] * n
     for v in reversed(order):
         if (p := up[v]) >= 0:
@@ -172,7 +162,7 @@ def _first_coloop(g: Graph) -> FlowObstruction | None:
                 colour(order[lo:hi], c)
                 return FlowObstruction(i, tuple(y), 2)
             continue
-        # a bridge, with odd_inside[c] of the component's odd back edges below
+        # a bridge, with odd_inside[c] of the component's odd cycles below
         if odd_inside[c] == 0 and (odd_in_comp or not lo <= pre[max(order[start:stop])] < hi):
             colour(order[lo:hi], c)
         elif odd_inside[c] == odd_in_comp:
@@ -364,8 +354,6 @@ def _search_plan(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]
 def verify_flow(g: Graph, f: EdgeAssignment) -> bool:
     """True iff f is nowhere zero on E(g) and every vertex sum is zero."""
     f.check_domain(g)
-    if any(v == 0 for v in f.values):
-        raise InvalidAssignmentError("flow values must be nonzero")
     sums = [0] * g.n
     for idx, (u, v) in enumerate(g.edges):
         sums[u] += f.values[idx]

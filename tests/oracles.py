@@ -31,6 +31,40 @@ def flow_exists_nonbipartite_test(g: Graph) -> bool:
     return True
 
 
+def obstruction_y(g: Graph, edge: int, d: int) -> tuple[int, ...]:
+    """The y of the flow obstruction at a coloop `edge` = uv, by a
+    breadth-first +-1 colouring of G - e with no spanning forest: with
+    d = 2, of the component of u, +1 at u; with d = 1, of the bipartite side
+    of the bridge (in a bipartite component, the side without its largest
+    vertex), +1 at the edge's end on it.  0 everywhere else."""
+
+    def colouring(start: int) -> tuple[dict[int, int], bool]:
+        """start's component in G - e, coloured +1 at start, and whether
+        the colouring is proper."""
+        col, proper = {start: 1}, True
+        queue = [start]
+        for a in queue:
+            for b, i in g.incidence[a]:
+                if i == edge:
+                    continue
+                if b not in col:
+                    col[b] = -col[a]
+                    queue.append(b)
+                proper &= col[b] != col[a]
+        return col, proper
+
+    u, v = g.edges[edge]
+    col, proper = colouring(u)
+    if d == 1:
+        other, other_proper = colouring(v)
+        if not proper or other_proper and max(other) < max(col):
+            col = other
+    y = [0] * g.n
+    for w, c in col.items():
+        y[w] = c
+    return tuple(y)
+
+
 def has_bridge(g: Graph) -> bool:
     """Whether deleting some edge leaves more components than g has."""
     base = len(components(g))

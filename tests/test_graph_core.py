@@ -187,6 +187,71 @@ class TestComponents:
         assert components(g) == components(Graph(g.n, g.edges))
 
 
+def check_walk(g: Graph) -> int:
+    """Checks the cached walk of g, without recursion, and returns how many
+    edges lie outside its forest.  The parents are the forest's; every
+    subtree and every component is a run of the order; and for each edge ab
+    outside the forest, with a earlier in the order, b's parent is an
+    ancestor of a and a is not in b's subtree."""
+    walk = g._walk
+    up, depth, order = walk.up, walk.depth, walk.order
+    assert sorted(order) == list(range(g.n))
+    pos = {v: i for i, v in enumerate(order)}
+    tree = sorted((min(v, p), max(v, p)) for v, p in enumerate(up) if p >= 0)
+    assert tree == sorted(g.edges[i] for i in spanning_forest(g))
+    assert all(depth[v] == (depth[p] + 1 if p >= 0 else 0) for v, p in enumerate(up))
+    # subtree sizes, deepest vertices first; once each vertex's run lies
+    # within its parent's, every vertex of a subtree lies in its root's run,
+    # which has exactly as many places
+    size = [1] * g.n
+    for v in sorted(range(g.n), key=depth.__getitem__, reverse=True):
+        if up[v] >= 0:
+            size[up[v]] += size[v]
+    for v, p in enumerate(up):
+        if p >= 0:
+            assert pos[p] < pos[v] and pos[v] + size[v] <= pos[p] + size[p]
+    start = 0
+    for comp in components(g):
+        root = order[start]
+        assert root == min(comp) and up[root] < 0 and size[root] == len(comp)
+        assert set(order[start:start + len(comp)]) == comp
+        start += len(comp)
+    assert start == g.n and len(components(g)) == union_find_components(g.n, g.edges)[0]
+    outside = 0
+    for i, (a, b) in enumerate(g.edges):
+        if i in spanning_forest(g):
+            continue
+        outside += 1
+        if pos[a] > pos[b]:
+            a, b = b, a
+        x = a
+        while x not in (up[b], -1):
+            assert x != b
+            x = up[x]
+        assert x == up[b]
+    return outside
+
+
+class TestWalk:
+    @pytest.mark.parametrize("corpus", ["corpus_le7", "corpus_bipartite_2ec_n8"])
+    def test_corpora(self, corpus, request):
+        assert sum(check_walk(g) for g in request.getfixturevalue(corpus)) > 0
+
+    def test_random_gnp(self):
+        rng = random.Random(19)
+        outside = 0
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            p = rng.choice((1.0, 2.0, 3.0, 5.0)) / n
+            outside += check_walk(Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                                                 if rng.random() < p)))
+        assert outside > 0
+
+    def test_large_inputs_take_no_recursion(self):
+        assert check_walk(path(5000)) == 0
+        assert check_walk(cycle(5001)) == 1
+
+
 class TestSpanningForest:
     @pytest.mark.parametrize("corpus", ["corpus_le7", "corpus_bipartite_2ec_n8"])
     def test_n_minus_c_edges_and_no_cycle(self, corpus, request):

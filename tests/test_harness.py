@@ -351,12 +351,11 @@ class TestSkipRecords:
 
     def test_factor_listing_above_the_cap(self, monkeypatch, tmp_path, capsys):
         # t(K11) = 5,238,370 and t(K12) = 60,222,844 (n within factor_n):
-        # the count is checked before anything is listed, so the records
-        # skip at once instead of holding millions of factors
+        # enumerate_factors checks the count before anything is listed, so
+        # the records skip at once instead of holding millions of factors
         def no_listing(g):
             raise AssertionError("listed factors above the cap")
 
-        monkeypatch.setattr(harness, "enumerate_factors", no_listing)
         monkeypatch.setattr(factors, "iter_factors", no_listing)
         report, summary = run([complete(11), complete(12)], RunConfig(command="factors"))
         _, records, _ = parse_report(report)

@@ -20,7 +20,8 @@ from signrank.zero_sum_flow import (
 )
 
 from conftest import chain_of_4_cycles, complete, cycle, path
-from oracles import find_zero_sum_flow, flow_exists_nonbipartite_test, has_bridge, mod3_flow
+from oracles import (
+    find_zero_sum_flow, flow_exists_nonbipartite_test, has_bridge, mod3_flow, obstruction_y)
 
 
 def flow_oracle_exists(g: Graph, k: int) -> bool:
@@ -170,6 +171,29 @@ class TestObstruction:
             obs = check_against_rank(g)
             found[None if obs is None else obs.d] += 1
         assert min(found.values()) >= 10
+
+    @pytest.mark.parametrize("source", ["corpus_le7", "corpus_bipartite_2ec_n8", "gnp"])
+    def test_y_matches_breadth_first_colouring(self, source, request):
+        # y does not depend on the walk's forest: a breadth-first colouring
+        # of the side the tie-break picks, or of the component without the
+        # edge, gives the same vector ("gnp": test_random_gnp_against_rank's
+        # graphs; the 2-edge-connected bipartite corpus has no obstruction)
+        if source == "gnp":
+            rng = random.Random(2024)
+            graphs = []
+            for _ in range(240):
+                n = rng.randint(2, 30)
+                p = rng.choice((2.0, 2.5, 3.0, 4.0)) / n
+                graphs.append(Graph(n, tuple(e for e in combinations(range(n), 2)
+                                             if rng.random() < p)))
+        else:
+            graphs = request.getfixturevalue(source)
+        found = 0
+        for g in graphs:
+            if (obs := flow_obstruction(g)) is not None:
+                assert obs.y == obstruction_y(g, obs.edge, obs.d)
+                found += 1
+        assert found == {"corpus_le7": 664, "corpus_bipartite_2ec_n8": 0, "gnp": 214}[source]
 
     def test_large_inputs_take_no_recursion(self):
         # a 5,000-vertex path or cycle, and a 1,100-link chain of 4-cycles
