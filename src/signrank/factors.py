@@ -14,11 +14,12 @@ listings, edge membership and the t = 1 certificate) by walking the same
 table, taking only steps that lead to a factor.
 
 The table's time and memory grow exponentially with n whatever is asked of
-it: up to 3^n DP steps, plus a path table per vertex that holds every
-simple path from it.  Every function here but perrank_fast and has_factor
-(one matching of the bipartite double cover, in polynomial time) is meant
-for n <= about 12, the harness's factor_n cap.  Past the table, a listing
-costs in proportion to what it lists; a full one checks t <= LISTING_CAP.
+it: O(2^n * n^2) steps over at most 2^n sets and n * 2^n open paths, one f
+memo and one p memo per cycle weight, and a recursion up to n calls deep.
+Every function here but perrank_fast and has_factor (one matching of the
+bipartite double cover, in polynomial time) is meant for n <= about 12,
+the harness's factor_n cap.  Past the table, a listing costs in proportion
+to what it lists; a full one checks t <= LISTING_CAP.
 
 Conventions: the empty graph on 0 vertices has exactly one (empty) factor;
 an edgeless graph on n >= 1 vertices has none.  perrank is the order of the
@@ -37,12 +38,11 @@ LISTING_CAP = 500_000      # the most factors one full listing may hold
 
 
 class Factor(NamedTuple):
-    """One {1,2}-factor: K2 edges by index, cycles as edge-index tuples in
-    canonical traversal order, and the covered vertex set."""
+    """One {1,2}-factor: K2 edges by index, and cycles as edge-index tuples
+    in canonical traversal order."""
 
     k2_edges: tuple[int, ...]
     cycles: tuple[tuple[int, ...], ...]
-    covered: frozenset[int]
 
 
 def iter_factors(g: Graph) -> Iterator[Factor]:
@@ -57,18 +57,17 @@ def iter_factors(g: Graph) -> Iterator[Factor]:
     the lowest uncovered vertex.
 
     Before the first factor the walk fills the table: f over every set it
-    can reach and the path table of every vertex (the cost the module
+    can reach and p over every open path on the way (the cost the module
     docstring gives), so even next(iter_factors(g)) costs exponential
     time and memory in n.  After that the work is in proportion to what
-    is listed: the choices at each set S it enters and the cycles on each
-    vertex set, listed once per graph and kept in its table (a caller that
-    stops early has still paid for every choice at the sets on its way),
-    and a step per choice taken, each stack level carrying its prefixes.
+    is listed: the choices at each set S it enters, listed once per graph
+    and kept in its table (a caller that stops early has still paid for
+    every choice at the sets on its way), and a step per choice taken,
+    each stack level carrying its prefixes.
     """
     n = g.n
-    covered = frozenset(range(n))
     if n == 0:
-        yield Factor((), (), covered)
+        yield Factor((), ())
         return
     table = _table(g)
     full = (1 << n) - 1
@@ -87,8 +86,7 @@ def iter_factors(g: Graph) -> Iterator[Factor]:
             if left:
                 stack.append((k2_edges, cycle_edges, iter(choices(left))))
                 break
-            yield Factor(k2_edges if in_order else tuple(sorted(k2_edges)),
-                         cycle_edges, covered)
+            yield Factor(k2_edges if in_order else tuple(sorted(k2_edges)), cycle_edges)
         else:
             stack.pop()
 
@@ -111,7 +109,7 @@ def _listable(g: Graph) -> int:
 
 def count_factors(g: Graph) -> int:
     """t(g): the number of {1,2}-factors, counted without listing them by
-    the subset DP of _FactorTable, in O(3^n) steps."""
+    the subset DP of _FactorTable, in O(2^n * n^2) steps."""
     return _table(g).f((1 << g.n) - 1)
 
 
@@ -145,21 +143,28 @@ def _table(g: Graph) -> _FactorTable:
 
 class _FactorTable:
     """The subset DP over the bitmask S of uncovered vertices (the
-    set-partition route of Bjorklund, Husfeldt, Kaski and Koivisto).
+    set-partition route of Bjorklund, Husfeldt, Kaski and Koivisto), with
+    the cycles through its least vertex counted by the open-path DP of
+    Bellman, Held and Karp.
 
-    f(S) sums cycle_weight ** (number of cycles) over the {1,2}-factors of
-    the subgraph induced by S.  Its least vertex v is covered either by a K2
-    with a neighbor u in S or by a cycle on a vertex set T with min T = v:
+    f(S) sums w ** (number of cycles) over the {1,2}-factors of the
+    subgraph induced by S, for the cycle weight w.  Its least vertex v is
+    covered by a K2 with a neighbor u in S, or by a cycle v, u, x, ...:
 
-        f(S) = sum_u f(S - {u, v}) + w * sum_T cyc(T) * f(S - T),  f({}) = 1
+        f(S) = sum_u f(S - {v, u})
+               + w/2 * sum_u sum_{x in N(u)} p_v(S - {v, u, x}, x),
+        p_v(R, e) = [e ~ v] * f(R) + sum_{x in N(e) & R} p_v(R - {x}, x),
 
-    where cyc(T) counts the cycles spanning T (see _paths_from).  Each step
-    removes at least two vertices, so the recursion is at most n/2 deep.
+    with f({}) = 1 and u, x in S.  p_v(R, e) closes the open path from v
+    that ends at e and leaves R uncovered, in every way that leaves a
+    factor: each cycle is counted once per orientation, so the halving is
+    exact.  A nested call has fewer uncovered vertices than its caller,
+    counting p's path end as one, so the recursion is at most n calls
+    deep.  f has at most 2^n states of O(n^2) steps and p at most n * 2^n
+    of O(n) steps.
 
-    Everything is filled on demand and kept: f per cycle weight, the path
-    table of each vertex (for a listing, replaced by the ends of its paths
-    by the set they cover), the choices at each set and the cycles on each
-    vertex set.
+    Everything is filled on demand and kept: per cycle weight, the f memo
+    and one p memo per start vertex; and the choices at each set.
     """
 
     def __init__(self, g: Graph):
@@ -169,206 +174,126 @@ class _FactorTable:
             self.nbr[u] |= 1 << v
             self.nbr[v] |= 1 << u
             self.edge_id[u][v] = self.edge_id[v][u] = i
-        self.paths: list[list[dict[int, int]] | None] = [None] * g.n
-        self.ends: list[dict[int, int] | None] = [None] * g.n
-        self.cycles: list[dict[int, int] | None] = [None] * g.n
-        self.memo: dict[int, dict[int, int]] = {}
+        self.f_memo: dict[int, dict[int, int]] = {}
+        self.p_memo: dict[int, list[dict[int, int]]] = {}
         self.choice_lists: dict[int, list] = {}
-        self.cycle_lists: dict[int, list] = {}
-
-    def cycles_at(self, v: int) -> dict[int, int]:
-        cyc = self.cycles[v]
-        if cyc is None:
-            self.paths[v], cyc = _paths_from(self.nbr, v)
-            self.cycles[v] = cyc
-        return cyc
 
     def f(self, s: int, cycle_weight: int = 1) -> int:
-        memo = self.memo.get(cycle_weight)
+        memo = self.f_memo.get(cycle_weight)
         if memo is None:
-            memo = self.memo[cycle_weight] = {0: 1}
+            memo = self.f_memo[cycle_weight] = {0: 1}
+            self.p_memo[cycle_weight] = [{} for _ in self.nbr]
         total = memo.get(s)
         if total is not None:
             return total
         nbr = self.nbr
-        cycles = self.cycles
-        cycles_at = self.cycles_at
+        shift = len(nbr).bit_length()       # p keys: R << shift | e
+        p_memo = self.p_memo[cycle_weight]
 
         def f(s: int) -> int:
-            total = memo.get(s)
-            if total is not None:
-                return total
             low = s & -s
             v = low.bit_length() - 1
             rest = s ^ low
-            total = 0
-            pair = nbr[v] & rest
+            home = nbr[v]
+            pv = p_memo[v]
+            total = acc = 0
+            pair = home & rest
             while pair:
                 b = pair & -pair
-                total += f(rest ^ b)
                 pair ^= b
-            cyc = cycles[v]
-            if cyc is None:
-                cyc = cycles_at(v)
-            # walk whichever is shorter: the cycle sets at v, or the subsets
-            # of rest; the latter bounds the whole DP by O(3^n) steps
-            acc = 0
-            if len(cyc) < 1 << rest.bit_count():
-                for t, c in cyc.items():
-                    if t & rest == t:
-                        acc += c * f(rest ^ t)
-            else:
-                t = rest
-                while t:
-                    c = cyc.get(t)
-                    if c:
-                        acc += c * f(rest ^ t)
-                    t = (t - 1) & rest
-            total += cycle_weight * acc
+                left = rest ^ b
+                t = memo.get(left)
+                total += f(left) if t is None else t
+                step = nbr[b.bit_length() - 1] & left
+                while step:
+                    x = step & -step
+                    step ^= x
+                    r = left ^ x
+                    e = x.bit_length() - 1
+                    c = pv.get(r << shift | e)
+                    acc += p(r, e, home, pv) if c is None else c
+            total += cycle_weight * acc >> 1
             memo[s] = total
             return total
 
-        total = f(s)
-        f = None        # the recursive closure refers to itself: free it now
-        return total
+        def p(r: int, e: int, home: int, pv: dict[int, int]) -> int:
+            total = 0
+            if home >> e & 1:
+                t = memo.get(r)
+                total = f(r) if t is None else t
+            step = nbr[e] & r
+            while step:
+                x = step & -step
+                step ^= x
+                left = r ^ x
+                i = x.bit_length() - 1
+                c = pv.get(left << shift | i)
+                total += p(left, i, home, pv) if c is None else c
+            pv[r << shift | e] = total
+            return total
+
+        try:
+            return f(s)
+        finally:
+            f = p = None    # the closures refer to each other: free them now
 
     def choices(self, s: int) -> list[tuple[tuple, tuple, int]]:
         """The ways to cover the least vertex v of S that leave a set with a
         factor, in listing order, as ((K2 edge,), (), set left) or ((),
         (cycle edges,), set left): the K2 partners of v in vertex order,
         then the cycles through v in lexicographic order of their vertex
-        sequences.  Reads the count memo that f(S) filled for every set
-        it leaves."""
+        sequences, each from v toward the smaller of its two neighbors on
+        it.  Reads the memos that f(S) filled.
+
+        The cycles come from a depth-first search over paths from v, in
+        vertex order.  It steps to x only when p of the path to x is
+        nonzero and some neighbor of v above the path's second vertex is
+        still uncovered; it closes only at such a neighbor, and only when
+        what the cycle leaves has a factor."""
         out = self.choice_lists.get(s)
         if out is not None:
             return out
-        memo = self.memo[1]
+        memo = self.f_memo[1]
+        nbr = self.nbr
+        shift = len(nbr).bit_length()
         low = s & -s
         v = low.bit_length() - 1
         rest = s ^ low
-        edge_id = self.edge_id[v]
+        home = nbr[v]
+        pv = self.p_memo[1][v]
+        edge_id = self.edge_id
         out = []
-        pair = self.nbr[v] & rest
+        pair = home & rest
         while pair:
             b = pair & -pair
             if memo[rest ^ b]:
-                out.append(((edge_id[b.bit_length() - 1],), (), rest ^ b))
+                out.append(((edge_id[v][b.bit_length() - 1],), (), rest ^ b))
             pair ^= b
-        cyc = self.cycles_at(v)
-        # as in f: the cycle sets at v, or the subsets of rest
-        if len(cyc) < 1 << rest.bit_count():
-            sets = [t for t in cyc if t & rest == t and memo[rest ^ t]]
-        else:
-            sets = []
-            t = rest
-            while t:
-                if t in cyc and memo[rest ^ t]:
-                    sets.append(t)
-                t = (t - 1) & rest
-        listed = []
-        for t in sets:
-            listed += self.cycle_list(v, t)
-        listed.sort()           # by vertex sequence: no two are equal
-        out.extend([((), (edges,), rest ^ t) for _, edges, t in listed])
-        self.choice_lists[s] = out
-        return out
+        path: list[int] = []    # the edges of the path from v
 
-    def cycle_list(self, v: int, t: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        """The cycles spanning {v} + T, v = min, each once as (vertex
-        sequence from v toward the smaller of its two neighbors on the
-        cycle, edge indices along it, T), in lexicographic order.
-
-        A path from v steps to u only when a path from v covers just the
-        vertices left and ends at u (one lookup in self.ends[v]): reversed,
-        that is the rest of a cycle.  A step that leaves no neighbor of v
-        above the path's second vertex to close it is not taken."""
-        key = t | 1 << v
-        out = self.cycle_lists.get(key)
-        if out is not None:
-            return out
-        nbr = self.nbr
-        edge_id = self.edge_id
-        ends = self.ends[v]
-        if ends is None:        # from v's path table: set covered -> path ends
-            self.cycles_at(v)
-            ends = self.ends[v] = {}
-            shift = _shift(nbr)
-            for layer in self.paths[v]:
-                for k in layer:
-                    ends[k >> shift] = ends.get(k >> shift, 0) | 1 << (k & ~(-1 << shift))
-            self.paths[v] = None
-        seq = [v]           # the path from v, and its edges
-        path: list[int] = []
-        out = []
-
-        def extend(left: int, close: int) -> None:
-            # left is to follow the path and end in close, the neighbors of
-            # v above seq[1] (0 while seq is [v])
-            end = seq[-1]
-            if not left & (left - 1):
-                last = left.bit_length() - 1
-                out.append(((*seq, last), (*path, edge_id[end][last], edge_id[last][v]), t))
-                return
-            step = nbr[end] & ends[left]
+        def extend(end: int, left: int, close: int) -> None:
+            # close: the neighbors of v above the path's second vertex (0
+            # while the path is just v)
+            if close >> end & 1 and memo[left]:
+                out.append(((), ((*path, edge_id[end][v]),), left))
+            step = nbr[end] & left
             while step:
                 b = step & -step
-                above = close or nbr[v] & -(b << 1)
-                if above & (left ^ b):
-                    u = b.bit_length() - 1
-                    seq.append(u)
-                    path.append(edge_id[end][u])
-                    extend(left ^ b, above)
-                    seq.pop()
-                    path.pop()
                 step ^= b
+                above = close or home & -(b << 1)
+                x = b.bit_length() - 1
+                # f(S) filled p for every step but the first
+                if above & left and pv.get((left ^ b) << shift | x, 1):
+                    path.append(edge_id[end][x])
+                    extend(x, left ^ b, above)
+                    path.pop()
 
-        extend(t, 0)
-        extend = None   # as in f
-        self.cycle_lists[key] = out
+        try:
+            extend(v, rest, 0)
+        finally:
+            extend = None   # as in f
+        self.choice_lists[s] = out
         return out
-
-
-def _paths_from(nbr: list[int], s: int) -> tuple[list[dict[int, int]], dict[int, int]]:
-    """The path table of s and the cycle counts it gives.
-
-    A layered path DP over (visited mask, end vertex): paths start at s and
-    use only vertices above s.  layers[k] maps mask << shift | end, for
-    _shift(nbr) = shift, to the number of those paths through the k
-    vertices of mask (s left out) that end at end; int keys keep the table
-    small and out of the garbage collector's way.  A path on at least two
-    further vertices whose end is adjacent to s closes a cycle; each cycle
-    is seen once per orientation, so the sums are halved.  The cycle counts
-    cyc(T), for vertex sets T with min T = s, are keyed by the bitmask of
-    T - {s}; sets spanned by no cycle are absent.
-    """
-    above = -1 << (s + 1)
-    home = 1 << s
-    shift = _shift(nbr)
-    ends = (1 << shift) - 1
-    layer = {s: 1}               # the path (s), with s left out of the mask
-    layers = []
-    closed: dict[int, int] = {}
-    while layer:
-        layers.append(layer)
-        nxt: dict[int, int] = {}
-        for key, c in layer.items():
-            mask = key >> shift
-            end = key & ends
-            if nbr[end] & home and mask & (mask - 1):
-                closed[mask] = closed.get(mask, 0) + c
-            ext = nbr[end] & above & ~mask
-            while ext:
-                b = ext & -ext
-                key = (mask | b) << shift | (b.bit_length() - 1)
-                nxt[key] = nxt.get(key, 0) + c
-                ext ^= b
-        layer = nxt
-    return layers, {t: c // 2 for t, c in closed.items()}
-
-
-def _shift(nbr: list[int]) -> int:
-    """Bits that a vertex takes in the keys of _paths_from."""
-    return len(nbr).bit_length()
 
 
 def perrank_fast(g: Graph) -> int:

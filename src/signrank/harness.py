@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable
@@ -346,8 +347,8 @@ def _record(task: tuple[str, int, int, tuple[tuple[int, int], ...], RunConfig]) 
     built from n and the edges in graph6 order: the base fields, status "ok"
     (or the pass/fail of a verify check) and the command's fields; or status
     "skip" with a reason when the graph exceeds factor_n (for the commands
-    and tags above) or the search hits a cap.  "ms" is added under
-    cfg.timings."""
+    and tags above), the search hits a cap or it recurses deeper than the
+    interpreter allows.  "ms" is added under cfg.timings."""
     command, index, n, edges, cfg = task
     start = time.perf_counter()
     # the record's own graph: its caches go with the record
@@ -361,6 +362,9 @@ def _record(task: tuple[str, int, int, tuple[tuple[int, int], ...], RunConfig]) 
             rec.update({"status": "ok", **_COMMANDS[command](g, graph_seed(cfg.seed, index), cfg)})
     except ResourceCapError as exc:
         rec.update(status="skip", reason=str(exc))
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        rec.update(status="skip", reason=f"recursion deeper than the interpreter's limit ({limit})")
     if cfg.timings:
         rec["ms"] = round((time.perf_counter() - start) * 1000, 3)
     return rec

@@ -1,6 +1,7 @@
+import gc
 import random
 import weakref
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterator
 
 import pytest
@@ -20,7 +21,7 @@ from signrank.factors import (
     iter_factors,
     perrank_fast,
 )
-from signrank.graph_core import Graph
+from signrank.graph_core import Graph, induced_subgraph
 
 from conftest import complete, cycle, path, petersen, star
 from oracles import perrank_bruteforce
@@ -116,7 +117,7 @@ class TestEnumeration:
 
     def test_null_graph_has_empty_factor(self):
         facs = enumerate_factors(Graph(0, ()))
-        assert facs == [Factor((), (), frozenset())]
+        assert facs == [Factor((), ())]
 
     def test_matches_oracle_up_to_n5(self, corpus_le5):
         for g in corpus_le5:
@@ -146,7 +147,7 @@ class TestEnumeration:
             key = (f.k2_edges, f.cycles)
             assert key not in seen
             seen.add(key)
-            assert 2 * len(f.k2_edges) + sum(len(c) for c in f.cycles) == len(f.covered)
+            assert 2 * len(f.k2_edges) + sum(len(c) for c in f.cycles) == g.n
 
 
 class TestCounts:
@@ -193,7 +194,7 @@ def reference_factors(g: Graph) -> Iterator[Factor]:
     """
     n = g.n
     if n == 0:
-        yield Factor((), (), frozenset())
+        yield Factor((), ())
         return
     covered = [False] * n
     k2: list[int] = []
@@ -212,7 +213,7 @@ def reference_factors(g: Graph) -> Iterator[Factor]:
 
     def rec(v: int) -> Iterator[Factor]:
         if v == n:
-            yield Factor(tuple(sorted(k2)), tuple(cycles), frozenset(range(n)))
+            yield Factor(tuple(sorted(k2)), tuple(cycles))
             return
         covered[v] = True
         for u in adj[v]:
@@ -313,6 +314,22 @@ class TestListingWalk:
         del g
         assert table() is None
 
+    def test_table_leaves_no_reference_cycle(self):
+        # the table's recursive closures refer to each other: each call must
+        # break that cycle, or every table waits for the garbage collector
+        gc.collect()
+        gc.disable()
+        try:
+            graphs = _dense_graphs(5)
+            for g in graphs:
+                count_factors(g)
+                count_nonzero_transversals(g)
+                list(iter_factors(g))
+            del graphs, g
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_first_factor_after_counting(self):
         # the table built for a count serves the listing on the same graph
         g = complete(7)
@@ -335,40 +352,61 @@ class TestUnsortedEdgeList:
             assert list(iter_factors(g)) == list(reference_factors(g))
 
 
-def brute_cycle_list(g: Graph, v: int, t: int) -> list:
-    """The cycles spanning {v} + T (v below every vertex of T), from every
-    ordering of T: each as (vertex sequence from v in the orientation whose
-    second vertex is below its last, edge indices along it, T), sorted.
-    The orderings are tried per pair of neighbors of v that open and close
-    the cycle."""
-    steps_ok = {*g.edges, *((b, a) for a, b in g.edges)}
-    members = [u for u in range(g.n) if t >> u & 1]
-    out = []
-    for a, c in combinations([u for u in members if (v, u) in steps_ok], 2):
-        for order in permutations([u for u in members if u != a and u != c]):
-            path = (a, *order, c)
-            if steps_ok.issuperset(zip(path, path[1:])):
-                seq = (v, *path)
-                steps = zip(seq, seq[1:] + (v,))
-                out.append((seq, tuple(g.edges.index(tuple(sorted(e))) for e in steps), t))
-    return sorted(out)
+def oracle_choices(g: Graph, s: int, leaves: dict[int, bool]) -> list:
+    """The choices at the vertex set S by their definition, with v = min S:
+    the K2 partners of v in vertex order, then every cycle through v inside
+    S, from a depth-first search over simple paths with no memo and no
+    pruning, in the orientation whose second vertex is below its last and
+    sorted by vertex sequence.  A choice is kept when what it leaves has a
+    factor, by the double-cover matching on the induced subgraph; leaves
+    keeps those answers by vertex set, for every S of one graph."""
+    v = (s & -s).bit_length() - 1
+    rest = s ^ 1 << v
+    adj = g._adjacency
+    index = {e: i for i, e in enumerate(g.edges)}
+
+    def edge(a: int, b: int) -> int:
+        return index[(a, b) if a < b else (b, a)]
+
+    def leaves_factor(left: int) -> bool:
+        if left not in leaves:
+            kept = [u for u in range(g.n) if left >> u & 1]
+            leaves[left] = has_factor(induced_subgraph(g, kept)[0])
+        return leaves[left]
+
+    sequences = []
+
+    def grow(seq: list[int], left: int) -> None:
+        for u in adj[seq[-1]]:
+            if u == v and len(seq) >= 3 and seq[1] < seq[-1]:
+                sequences.append(tuple(seq))
+            elif left >> u & 1:
+                grow(seq + [u], left ^ 1 << u)
+
+    grow([v], rest)
+    out = [((edge(v, u),), (), rest ^ 1 << u) for u in sorted(adj[v])
+           if rest >> u & 1 and leaves_factor(rest ^ 1 << u)]
+    for seq in sorted(sequences):
+        left = rest ^ sum(1 << u for u in seq[1:])
+        if leaves_factor(left):
+            out.append(((), (tuple(edge(a, b) for a, b in zip(seq, seq[1:] + (v,))),), left))
+    return out
 
 
-class TestCycleList:
-    """The cycle lists the walk reads, against every ordering of their
-    vertex sets: the path-table steps and the orientation cut-off neither
-    lose nor add a cycle."""
+class TestChoices:
+    """The choices the walk reads at every set it enters, against their
+    definition: the open-path search and its pruning neither lose, add nor
+    reorder a choice."""
 
     @staticmethod
     def check_walk(g: Graph) -> int:
         list(iter_factors(g))
         table = vars(g).get("_factor_table")
-        keys = table.cycle_lists if table is not None else {}
-        for key in keys:
-            v = (key & -key).bit_length() - 1
-            t = key ^ 1 << v
-            assert table.cycle_list(v, t) == brute_cycle_list(g, v, t), (g, v, t)
-        return len(keys)
+        sets = table.choice_lists if table is not None else {}
+        leaves: dict[int, bool] = {}
+        for s in sets:
+            assert table.choices(s) == oracle_choices(g, s, leaves), (g, s)
+        return len(sets)
 
     def test_corpora(self, corpus_le7, corpus_bipartite_2ec_n8):
         assert sum(self.check_walk(g) for g in corpus_le7 + corpus_bipartite_2ec_n8)
@@ -411,17 +449,15 @@ class TestDenseListing:
 
 class TestFactorContract:
     def test_fields_and_derived_counts(self):
-        f = Factor(k2_edges=(0, 3), cycles=((1, 2, 4), (5, 6, 7, 8)),
-                   covered=frozenset(range(11)))
-        assert (f.k2_edges, f.cycles, f.covered) == ((0, 3), ((1, 2, 4), (5, 6, 7, 8)),
-                                                     frozenset(range(11)))
+        f = Factor(k2_edges=(0, 3), cycles=((1, 2, 4), (5, 6, 7, 8)))
+        assert (f.k2_edges, f.cycles) == ((0, 3), ((1, 2, 4), (5, 6, 7, 8)))
         assert len(f.k2_edges) == 2 and len(f.cycles) == 2
         assert edge_set(f) == frozenset(range(9))
 
     def test_equality_and_hashing(self):
-        a = Factor((1,), ((0, 2, 3),), frozenset(range(5)))
-        b = Factor((1,), ((0, 2, 3),), frozenset(range(5)))
-        c = Factor((4,), ((0, 2, 3),), frozenset(range(5)))
+        a = Factor((1,), ((0, 2, 3),))
+        b = Factor((1,), ((0, 2, 3),))
+        c = Factor((4,), ((0, 2, 3),))
         assert a == b and hash(a) == hash(b) and a != c
         assert len({a, b, c}) == 2
 

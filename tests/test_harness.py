@@ -381,6 +381,23 @@ class TestSkipRecords:
         assert rec["reason"] == f"t=5238370 factors exceed the listing cap {factors.LISTING_CAP}"
         assert summary["skip"] == 1
 
+    def test_recursion_limit_skips_the_record(self, tmp_path, capsys):
+        # the factor table recurses about once per vertex of a long cycle:
+        # past the interpreter's limit the record is a skip, not a crash
+        g = cycle(1000)
+        cfg = RunConfig(command="factors", caps=Caps(factor_n=1000))
+        report, summary = run([g], cfg)
+        _, (rec,), _ = parse_report(report)
+        assert summary["records"] == 1
+        if rec["status"] == "skip":
+            assert rec["reason"].startswith("recursion deeper than the interpreter's limit")
+        else:
+            assert rec["status"] == "ok" and rec["t"] == 3
+        corpus = tmp_path / "c1000.g6"
+        corpus.write_text(encode_graph6(g) + "\n")
+        assert cli.main(["factors", str(corpus), "--caps", "factor_n=1000"]) in (0, 3)
+        assert len(parse_report(capsys.readouterr().out)[1]) == 1
+
     def test_signfind_has_no_factor_cap(self):
         # has_factor is one double-cover matching, so signfind answers far
         # above the factor table's reach (n = 36 > factor_n = 12)
