@@ -7,16 +7,16 @@ and is traversed toward its smaller neighbor; the factor's cycle list and
 K2 list are index-sorted.
 
 One subset DP over vertex sets (_FactorTable), built once per graph and
-kept with it while the graph lives, answers every count and listing: t(g),
-the nonzero-transversal count and count_factors_at_most read its counts
-without listing a factor, and iter_factors lists the factors (for
+kept with it while the graph lives, answers every count and listing: t(g)
+and the nonzero-transversal count are two residues of one packed value,
+read without listing a factor, and iter_factors lists the factors (for
 listings, edge membership and the t = 1 certificate) by walking the same
 table, taking only steps that lead to a factor.
 
 The table's time and memory grow exponentially with n whatever is asked of
 it: O(2^n * n^2) steps over at most 2^n sets and n * 2^n open paths, one f
-memo and one p memo per cycle weight, and a recursion up to n calls deep.
-Every function here but perrank_fast and has_factor (one matching of the
+memo and one p memo per start vertex, and a recursion up to n + 1 calls
+deep (so no table has more than TABLE_N_LIMIT vertices).  Every function here but perrank_fast and has_factor (one matching of the
 bipartite double cover, in polynomial time) is meant for n <= about 12,
 the harness's factor_n cap.  Past the table, a listing costs in proportion
 to what it lists; a full one checks t <= LISTING_CAP.
@@ -29,12 +29,14 @@ largest vertex subset whose induced subgraph has a spanning {1,2}-factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterator, NamedTuple
 
 from .errors import ResourceCapError
 from .graph_core import Graph
 
 LISTING_CAP = 500_000      # the most factors one full listing may hold
+TABLE_N_LIMIT = 900        # the most vertices a factor table may have (its depth)
 
 
 class Factor(NamedTuple):
@@ -108,14 +110,15 @@ def _listable(g: Graph) -> int:
 
 
 def count_factors(g: Graph) -> int:
-    """t(g): the number of {1,2}-factors, counted without listing them by
-    the subset DP of _FactorTable, in O(2^n * n^2) steps."""
-    return _table(g).f((1 << g.n) - 1)
+    """t(g): the number of {1,2}-factors, counted without listing them in
+    O(2^n * n^2) steps: the packed value of _FactorTable mod u - 1."""
+    table = _table(g)
+    return table.f((1 << g.n) - 1) % (table.u - 1)
 
 
 def count_factors_at_most(g: Graph, limit: int) -> int:
-    """min(t(g), limit), from the same table as count_factors."""
-    return min(_table(g).f((1 << g.n) - 1), limit)
+    """min(t(g), limit)."""
+    return min(count_factors(g), limit)
 
 
 def has_factor(g: Graph) -> bool:
@@ -127,8 +130,10 @@ def has_factor(g: Graph) -> bool:
 def count_nonzero_transversals(g: Graph) -> int:
     """Number of nonzero transversals of the 0/1 adjacency matrix: each
     factor contributes 2 to the power of its cycle count (one transversal
-    per orientation of each cycle).  Equals the permanent of A(g)."""
-    return _table(g).f((1 << g.n) - 1, cycle_weight=2)
+    per orientation of each cycle).  Equals the permanent of A(g).  The
+    packed value of count_factors mod u - 2: the table runs no second pass."""
+    table = _table(g)
+    return table.f((1 << g.n) - 1) % (table.u - 2)
 
 
 def _table(g: Graph) -> _FactorTable:
@@ -147,48 +152,52 @@ class _FactorTable:
     the cycles through its least vertex counted by the open-path DP of
     Bellman, Held and Karp.
 
-    f(S) sums w ** (number of cycles) over the {1,2}-factors of the
-    subgraph induced by S, for the cycle weight w.  Its least vertex v is
-    covered by a K2 with a neighbor u in S, or by a cycle v, u, x, ...:
+    f(S) sums u ** (number of cycles) over the {1,2}-factors of the
+    subgraph induced by S, for u = 2^B with B the bit length of n! plus 1.
+    Its least vertex v is covered by a K2 with a neighbor a in S, or by a
+    cycle v, a, x, ...:
 
-        f(S) = sum_u f(S - {v, u})
-               + w/2 * sum_u sum_{x in N(u)} p_v(S - {v, u, x}, x),
+        f(S) = sum_a f(S - {v, a})
+               + u/2 * sum_a sum_{x in N(a)} p_v(S - {v, a, x}, x),
         p_v(R, e) = [e ~ v] * f(R) + sum_{x in N(e) & R} p_v(R - {x}, x),
 
-    with f({}) = 1 and u, x in S.  p_v(R, e) closes the open path from v
+    with f({}) = 1 and a, x in S.  p_v(R, e) closes the open path from v
     that ends at e and leaves R uncovered, in every way that leaves a
     factor: each cycle is counted once per orientation, so the halving is
-    exact.  A nested call has fewer uncovered vertices than its caller,
-    counting p's path end as one, so the recursion is at most n calls
-    deep.  f has at most 2^n states of O(n^2) steps and p at most n * 2^n
-    of O(n) steps.
+    exact.  As u = 1 mod u - 1 and u = 2 mod u - 2, f(V) mod u - 1 is t
+    and f(V) mod u - 2 the sum of 2^(cycles) over the factors, both exact
+    as t <= perm A <= n! < u - 2.  A value is nonzero iff a factor exists.
 
-    Everything is filled on demand and kept: per cycle weight, the f memo
-    and one p memo per start vertex; and the choices at each set.
+    f has at most 2^n states of O(n^2) steps and p at most n * 2^n of O(n)
+    steps, filled on demand and kept, as are the choices at each set.  A
+    nested call has fewer uncovered vertices than its caller (p's path end
+    counting as one), so f and p recurse at most n + 1 calls deep and the
+    listing's cycle search n: at n <= TABLE_N_LIMIT, checked before any
+    recursion, that fits the default limit of 1,000 frames below the 10 to
+    33 frames of any caller (the CLI, a pool worker, pytest).
     """
 
     def __init__(self, g: Graph):
+        if g.n > TABLE_N_LIMIT:
+            raise ResourceCapError(f"n={g.n} exceeds the factor table's depth limit {TABLE_N_LIMIT}")
         self.nbr = [0] * g.n
         self.edge_id = [[-1] * g.n for _ in range(g.n)]    # u, v -> index of edge uv
         for i, (u, v) in enumerate(g.edges):
             self.nbr[u] |= 1 << v
             self.nbr[v] |= 1 << u
             self.edge_id[u][v] = self.edge_id[v][u] = i
-        self.f_memo: dict[int, dict[int, int]] = {}
-        self.p_memo: dict[int, list[dict[int, int]]] = {}
+        self.u = 2 << factorial(g.n).bit_length()      # the cycle weight 2^B
+        self.f_memo = {0: 1}
+        self.p_memo: list[dict[int, int]] = [{} for _ in self.nbr]
         self.choice_lists: dict[int, list] = {}
 
-    def f(self, s: int, cycle_weight: int = 1) -> int:
-        memo = self.f_memo.get(cycle_weight)
-        if memo is None:
-            memo = self.f_memo[cycle_weight] = {0: 1}
-            self.p_memo[cycle_weight] = [{} for _ in self.nbr]
-        total = memo.get(s)
-        if total is not None:
-            return total
-        nbr = self.nbr
+    def f(self, s: int) -> int:
+        memo = self.f_memo
+        if s in memo:
+            return memo[s]
+        nbr, p_memo = self.nbr, self.p_memo
         shift = len(nbr).bit_length()       # p keys: R << shift | e
-        p_memo = self.p_memo[cycle_weight]
+        half = self.u.bit_length() - 2      # u/2 * acc = acc << half
 
         def f(s: int) -> int:
             low = s & -s
@@ -212,7 +221,7 @@ class _FactorTable:
                     e = x.bit_length() - 1
                     c = pv.get(r << shift | e)
                     acc += p(r, e, home, pv) if c is None else c
-            total += cycle_weight * acc >> 1
+            total += acc << half
             memo[s] = total
             return total
 
@@ -253,14 +262,13 @@ class _FactorTable:
         out = self.choice_lists.get(s)
         if out is not None:
             return out
-        memo = self.f_memo[1]
-        nbr = self.nbr
+        memo, nbr = self.f_memo, self.nbr
         shift = len(nbr).bit_length()
         low = s & -s
         v = low.bit_length() - 1
         rest = s ^ low
         home = nbr[v]
-        pv = self.p_memo[1][v]
+        pv = self.p_memo[v]
         edge_id = self.edge_id
         out = []
         pair = home & rest
@@ -346,10 +354,9 @@ def _double_cover_matching(g: Graph) -> int:
 @dataclass(frozen=True)
 class EdgeMembership:
     """Per-edge membership across all factors: whether the edge is ever a K2
-    component, ever on a cycle, present in every factor, and the factor
-    total.  With no factors all flags are false."""
+    component, ever on a cycle, and present in every factor.  With no
+    factors all flags are false."""
 
-    factor_total: int
     in_k2: tuple[bool, ...]
     in_cycle: tuple[bool, ...]
     in_all: tuple[bool, ...]
@@ -375,4 +382,4 @@ def edge_membership(g: Graph) -> EdgeMembership:
                 in_cycle[i] = True
                 presence[i] += 1
     in_all = [t > 0 and presence[i] == t for i in range(m)]
-    return EdgeMembership(t, tuple(in_k2), tuple(in_cycle), tuple(in_all))
+    return EdgeMembership(tuple(in_k2), tuple(in_cycle), tuple(in_all))

@@ -179,7 +179,7 @@ class TestCrossValidation:
         for g in corpus_le5:
             terms = factor_expansion(g)
             prof = edge_membership(g)
-            if prof.factor_total == 0:
+            if count_factors(g) == 0:
                 assert not terms
                 continue
             for i in range(g.m):

@@ -315,8 +315,9 @@ class TestListingWalk:
         assert table() is None
 
     def test_table_leaves_no_reference_cycle(self):
-        # the table's recursive closures refer to each other: each call must
-        # break that cycle, or every table waits for the garbage collector
+        # the table's recursive closures refer to each other: each count and
+        # listing must break that cycle, or every table waits for the
+        # garbage collector
         gc.collect()
         gc.disable()
         try:
@@ -329,6 +330,16 @@ class TestListingWalk:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_second_count_adds_no_table_state(self):
+        # both counts are residues of one packed value: the transversal
+        # count fills no memo entry that t did not
+        g = _dense_graphs(1)[0]
+        count_factors(g)
+        table = vars(g)["_factor_table"]
+        sizes = len(table.f_memo), [len(pv) for pv in table.p_memo]
+        count_nonzero_transversals(g)
+        assert (len(table.f_memo), [len(pv) for pv in table.p_memo]) == sizes
 
     def test_first_factor_after_counting(self):
         # the table built for a count serves the listing on the same graph
@@ -527,7 +538,7 @@ class TestEdgeMembership:
         # triangle 0-1-2 with the edge 3-4
         g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)))
         prof = edge_membership(g)
-        assert prof.factor_total == 2
+        assert count_factors(g) == 2
         chord = g.edges.index((0, 2))
         e34 = g.edges.index((3, 4))
         assert not prof.in_all[chord] and prof.in_cycle[chord] and not prof.in_k2[chord]
@@ -535,5 +546,5 @@ class TestEdgeMembership:
 
     def test_no_factors(self):
         prof = edge_membership(path(3))
-        assert prof.factor_total == 0
+        assert count_factors(path(3)) == 0
         assert not any(prof.in_all)

@@ -383,20 +383,19 @@ class TestSkipRecords:
 
     def test_recursion_limit_skips_the_record(self, tmp_path, capsys):
         # the factor table recurses about once per vertex of a long cycle:
-        # past the interpreter's limit the record is a skip, not a crash
+        # above its depth limit it is refused before it recurses, so the
+        # record is a skip, whatever the caller's own stack depth
         g = cycle(1000)
-        cfg = RunConfig(command="factors", caps=Caps(factor_n=1000))
-        report, summary = run([g], cfg)
+        reason = f"n=1000 exceeds the factor table's depth limit {factors.TABLE_N_LIMIT}"
+        report, summary = run([g], RunConfig(command="factors", caps=Caps(factor_n=1000)))
         _, (rec,), _ = parse_report(report)
-        assert summary["records"] == 1
-        if rec["status"] == "skip":
-            assert rec["reason"].startswith("recursion deeper than the interpreter's limit")
-        else:
-            assert rec["status"] == "ok" and rec["t"] == 3
+        assert summary["skip"] == summary["records"] == 1
+        assert rec["status"] == "skip" and rec["reason"] == reason
         corpus = tmp_path / "c1000.g6"
         corpus.write_text(encode_graph6(g) + "\n")
-        assert cli.main(["factors", str(corpus), "--caps", "factor_n=1000"]) in (0, 3)
-        assert len(parse_report(capsys.readouterr().out)[1]) == 1
+        assert cli.main(["factors", str(corpus), "--caps", "factor_n=1000"]) == 3
+        _, (rec,), _ = parse_report(capsys.readouterr().out)
+        assert rec["status"] == "skip" and rec["reason"] == reason
 
     def test_signfind_has_no_factor_cap(self):
         # has_factor is one double-cover matching, so signfind answers far
@@ -520,6 +519,16 @@ class TestDeterminism:
         a, _ = run(graphs, RunConfig(command="analyze", seed=7, jobs=1))
         b, _ = run(graphs, RunConfig(command="analyze", seed=7, jobs=2))
         assert a == b
+
+    def test_jobs_do_not_change_bytes_at_the_depth_limit(self):
+        # a pool worker calls a record deeper than one process does; the
+        # skip depends on the graph alone, not on how deep the stack is
+        graphs = [cycle(898), cycle(951), cycle(987)]
+        caps = Caps(factor_n=1000)
+        a, _ = run(graphs, RunConfig(command="factors", caps=caps, jobs=1))
+        b, _ = run(graphs, RunConfig(command="factors", caps=caps, jobs=2))
+        assert a == b
+        assert [rec["status"] for rec in parse_report(a)[1]] == ["ok", "skip", "skip"]
 
     def test_edge_order_does_not_change_bytes(self):
         # a graph given in any edge order is run as the graph of its g6, in
