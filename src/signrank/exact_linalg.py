@@ -11,7 +11,7 @@ arbitrary precision, so nothing overflows.
 
 from __future__ import annotations
 
-import math
+from itertools import compress
 from typing import Sequence, Union
 
 from .assignments import EdgeAssignment
@@ -102,26 +102,30 @@ def rank(m: Rows) -> int:
 
 
 def permanent(m: Rows) -> int:
-    """Exact permanent via Ryser's inclusion-exclusion formula, walking the
-    column subsets in Gray-code order: each step adds or removes one column
-    from the running row sums, O(2^n n) in all."""
+    """Exact permanent by a dynamic program over the rows in order, keyed by
+    the set of columns the rows so far have used (each partial product
+    summed once per key).  A column leaves the key once the last row with a
+    nonzero entry in it is done: a key that lacks it then has no way to use
+    it and is dropped.  O(2^n n) steps at most, and polynomial when the
+    nonzero entries lie in a band; a zero column makes it 0 at once."""
     n = _order(m, "permanent")
-    if n == 0:
-        return 1
-    cols = list(zip(*m))
-    sums = [0] * n
-    subset = 0
-    total = 0
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1       # the bit that flips at step k
-        subset ^= 1 << j
-        if subset >> j & 1:
-            sums = [s + x for s, x in zip(sums, cols[j])]
-        else:
-            sums = [s - x for s, x in zip(sums, cols[j])]
-        # each step changes the subset's size by one: it is odd at odd k
-        total += -math.prod(sums) if k & 1 else math.prod(sums)
-    return total if n % 2 == 0 else -total
+    entries = [[(1 << j, row[j]) for j in compress(range(n), row)] for row in m]
+    closing = [0] * n       # row i -> the columns whose last nonzero is in it
+    last = {bit: i for i, row in enumerate(entries) for bit, _ in row}
+    if len(last) < n:
+        return 0
+    for bit, i in last.items():
+        closing[i] |= bit
+    sums = {0: 1}
+    for row, close in zip(entries, closing):
+        nxt: dict[int, int] = {}
+        for used, value in sums.items():
+            for bit, x in row:
+                if not used & bit:
+                    key = used | bit
+                    nxt[key] = nxt.get(key, 0) + value * x
+        sums = {key ^ close: value for key, value in nxt.items() if key & close == close}
+    return sums.get(0, 0)
 
 
 def mat_vec(m: Rows, vec: Sequence[int]) -> tuple[int, ...]:

@@ -419,8 +419,10 @@ def pool_size(jobs: int, tasks: int) -> int:
 
 
 # one encoder for every line: json.dumps with these arguments builds a new
-# one per call, and writes the same bytes
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# one per call, and writes the same bytes.  A record is a fresh tree of
+# dicts, lists, tuples, ints and strings, never circular, so the encoder
+# keeps no table of the containers it is inside
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 def _is_partial(rec: dict) -> bool:

@@ -166,8 +166,8 @@ class TestPermanent:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_zero_rows_and_columns(self, n):
-        # the Gray-code walk passes through every column subset, so a zero
-        # line must cancel out over all of them
+        # a zero row leaves no column set to carry on, and a zero column is
+        # never used: either way no permutation survives
         rng = random.Random(n)
         for _ in range(3):
             m = random_matrix(rng, n, lo=-3, hi=3)
@@ -177,6 +177,23 @@ class TestPermanent:
             cols = [[0 if j == i else x for j, x in enumerate(row)] for row in m]
             assert permanent(rows) == perm_by_permutations(rows) == 0
             assert permanent(cols) == perm_by_permutations(cols) == 0
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 900, 5001])
+    def test_cycles(self, n):
+        # the permutations along C_n: its two rotations, and for even n its
+        # two perfect matchings.  The program keeps a few column sets per
+        # row on the cycle's band, so a long cycle costs about n^2 steps.
+        # The rows of C_5001 are bytes, 25 MB in all, where lists of ints
+        # would take 200 MB
+        if n <= 900:
+            m = adjacency_matrix(cycle(n), (1,) * n)
+        else:
+            m = []
+            for i in range(n):
+                row = bytearray(n)
+                row[i - 1] = row[(i + 1) % n] = 1
+                m.append(bytes(row))
+        assert permanent(m) == 2 + 2 * (n % 2 == 0)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_sparse_sign_matrices(self, n):

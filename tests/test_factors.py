@@ -349,6 +349,34 @@ class TestListingWalk:
         assert list(iter_factors(g)) == list(reference_factors(g))
 
 
+class TestCanonicalListing:
+    """enumerate_factors sorts no factor: grouped by K2 edges, the walk's
+    order must already be the sorted order."""
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        listed = enumerate_factors(g)
+        assert listed == sorted(iter_factors(g))
+        assert all(type(f) is Factor for f in listed)
+
+    def test_corpora(self, corpus_le7, corpus_bipartite_2ec_n8):
+        for g in corpus_le7 + corpus_bipartite_2ec_n8:
+            self.check(g)
+
+    def test_random_gnp(self):
+        rng = random.Random(20261020)
+        for _ in range(200):
+            self.check(_gnp(rng, rng.randint(8, 11), rng.choice((0.2, 0.3, 0.4, 0.5))))
+
+    def test_groups_need_no_sort(self):
+        # the walk's own order is not sorted: at each vertex it takes the
+        # K2 edges before the cycles, so K2 edges (0, 1), (2, 3), (4, 5)
+        # come before (0, 1) and a cycle, whose shorter K2 tuple sorts first
+        g = complete(6)
+        assert list(iter_factors(g)) != sorted(iter_factors(g))
+        self.check(g)
+
+
 class TestUnsortedEdgeList:
     def test_listing_matches_reference(self):
         # edge indices follow the edge list as given: K2 edges are still
@@ -361,6 +389,21 @@ class TestUnsortedEdgeList:
             rng.shuffle(edges)
             g = Graph(8, tuple(edges))
             assert list(iter_factors(g)) == list(reference_factors(g))
+
+    def test_full_listing_is_sorted(self):
+        # with the edges out of order, a K2 group of the walk need not be
+        # in index order (a stable sort by K2 edges keeps each group in
+        # walk order), so the listing sorts the walk itself
+        rng = random.Random(20261020)
+        groups_out_of_order = 0
+        for _ in range(20):
+            edges = list(_gnp(rng, 8, 0.5).edges)
+            rng.shuffle(edges)
+            g = Graph(8, tuple(edges))
+            walk = list(iter_factors(g))
+            groups_out_of_order += sorted(walk, key=lambda f: f.k2_edges) != sorted(walk)
+            assert enumerate_factors(g) == sorted(reference_factors(g))
+        assert groups_out_of_order
 
 
 def oracle_choices(g: Graph, s: int, leaves: dict[int, bool]) -> list:

@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -352,11 +353,12 @@ class TestSkipRecords:
     def test_factor_listing_above_the_cap(self, monkeypatch, tmp_path, capsys):
         # t(K11) = 5,238,370 and t(K12) = 60,222,844 (n within factor_n):
         # enumerate_factors checks the count before anything is listed, so
-        # the records skip at once instead of holding millions of factors
-        def no_listing(g):
+        # the records skip at once instead of holding millions of factors.
+        # Every listing walks the table by its choices
+        def no_listing(table, s):
             raise AssertionError("listed factors above the cap")
 
-        monkeypatch.setattr(factors, "iter_factors", no_listing)
+        monkeypatch.setattr(factors._FactorTable, "choices", no_listing)
         report, summary = run([complete(11), complete(12)], RunConfig(command="factors"))
         _, records, _ = parse_report(report)
         for rec, t in zip(records, (5238370, 60222844)):
@@ -370,10 +372,10 @@ class TestSkipRecords:
     def test_edge_membership_above_the_cap(self, monkeypatch):
         # with no flow nodes the weight search reads edge membership from
         # the full listing; on K11 the count refuses it before any factor
-        def no_listing(g):
+        def no_listing(table, s):
             raise AssertionError("listed factors above the cap")
 
-        monkeypatch.setattr(factors, "iter_factors", no_listing)
+        monkeypatch.setattr(factors._FactorTable, "choices", no_listing)
         report, summary = run([complete(11)],
                               RunConfig(command="weightfind", caps=Caps(flow_nodes=0)))
         _, (rec,), _ = parse_report(report)
@@ -396,6 +398,17 @@ class TestSkipRecords:
         assert cli.main(["factors", str(corpus), "--caps", "factor_n=1000"]) == 3
         _, (rec,), _ = parse_report(capsys.readouterr().out)
         assert rec["status"] == "skip" and rec["reason"] == reason
+
+    def test_r11_on_a_long_cycle_is_quick(self):
+        # the permanent's row-by-row program keeps a handful of column sets
+        # on a cycle's band, where 2^900 column subsets would never end
+        start = time.process_time()
+        report, summary = run([cycle(900)], RunConfig(
+            command="verify", theorem="r11", caps=Caps(factor_n=1000)))
+        assert time.process_time() - start < 2
+        _, (rec,), _ = parse_report(report)
+        assert summary["pass"] == 1
+        assert rec["check"] == {"transversals": 4, "permanent": 4}
 
     def test_signfind_has_no_factor_cap(self):
         # has_factor is one double-cover matching, so signfind answers far
