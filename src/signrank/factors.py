@@ -10,9 +10,9 @@ One subset DP over vertex sets (_FactorTable), built once per graph and
 kept with it while the graph lives, answers every count and listing: t(g)
 and the nonzero-transversal count are two residues of one packed value,
 read without listing a factor, and iter_factors lists the factors (for
-edge membership and the t = 1 certificate) by walking the same table,
-taking only steps that lead to a factor; enumerate_factors runs the walk
-to a list grouped by K2 edges, each group already in canonical order.
+listings, edge membership and the t = 1 certificate) by walking the same
+table, taking only steps that lead to a factor; enumerate_factors groups
+them by K2 edges, each group already in canonical order.
 
 The table's time and memory grow exponentially with n whatever is asked of
 it: O(2^n * n^2) steps over at most 2^n sets and n * 2^n open paths, one f
@@ -99,33 +99,23 @@ def enumerate_factors(g: Graph) -> list[Factor]:
     """All {1,2}-factors, canonically sorted; raises ResourceCapError, before
     listing any factor, if t > LISTING_CAP.
 
-    The walk of iter_factors, run as a plain loop and grouped by K2 edge
-    tuple, needs only its group keys sorted.  Two factors with the same K2
-    edges first part at a set S whose least vertex v both cover by a cycle
-    (a K2 at v would be the same edge), taken in lexicographic order of
-    vertex sequence.  With g.edges sorted that is the order of their edge
-    tuples: after a common vertex a, a step to b < c takes the edge
-    {a, b} < {a, c}, and closing takes {a, v}, below every other edge at a
-    as v is least in S.  The cycles before S being the same, these are the
-    first cycles in which the two differ.  The empty graph, or one whose
-    edges are out of order, gets the sorted walk of iter_factors instead.
+    The factors of iter_factors, grouped by K2 edge tuple, need only their
+    group keys sorted.  Two factors with the same K2 edges first part at a
+    set S whose least vertex v both cover by a cycle (a K2 at v would be
+    the same edge), taken in lexicographic order of vertex sequence.  With
+    g.edges sorted that is the order of their edge tuples: after a common
+    vertex a, a step to b < c takes the edge {a, b} < {a, c}, and closing
+    takes {a, v}, below every other edge at a as v is least in S.  The
+    cycles before S being the same, these are the first cycles in which
+    the two differ.  With the edges out of order each group is sorted.
     """
-    _listable(g)        # fills the table that choices reads
-    if g.n == 0 or list(g.edges) != sorted(g.edges):
-        return sorted(iter_factors(g))
-    choices = _table(g).choices
-    groups = defaultdict(list)      # K2 edges -> cycle tuples, in walk order
-    stack = [((), (), iter(choices((1 << g.n) - 1)))]      # as in iter_factors
-    while stack:
-        k2s, cycles, todo = stack[-1]
-        for k2, cycle, left in todo:
-            if left:
-                stack.append((k2s + k2, cycles + cycle, iter(choices(left))))
-                break
-            groups[k2s + k2].append(cycles + cycle)
-        else:
-            stack.pop()
-    return [Factor(k2s, cycles) for k2s in sorted(groups) for cycles in groups[k2s]]
+    _listable(g)
+    groups = defaultdict(list)      # K2 edges -> factors, in walk order
+    for f in iter_factors(g):
+        groups[f.k2_edges].append(f)
+    if list(g.edges) == sorted(g.edges):
+        return [f for k2s in sorted(groups) for f in groups[k2s]]
+    return [f for k2s in sorted(groups) for f in sorted(groups[k2s])]
 
 
 def _listable(g: Graph) -> int:

@@ -392,8 +392,7 @@ class TestUnsortedEdgeList:
 
     def test_full_listing_is_sorted(self):
         # with the edges out of order, a K2 group of the walk need not be
-        # in index order (a stable sort by K2 edges keeps each group in
-        # walk order), so the listing sorts the walk itself
+        # in index order, so the listing sorts each group
         rng = random.Random(20261020)
         groups_out_of_order = 0
         for _ in range(20):

@@ -353,12 +353,11 @@ class TestSkipRecords:
     def test_factor_listing_above_the_cap(self, monkeypatch, tmp_path, capsys):
         # t(K11) = 5,238,370 and t(K12) = 60,222,844 (n within factor_n):
         # enumerate_factors checks the count before anything is listed, so
-        # the records skip at once instead of holding millions of factors.
-        # Every listing walks the table by its choices
-        def no_listing(table, s):
+        # the records skip at once instead of holding millions of factors
+        def no_listing(g):
             raise AssertionError("listed factors above the cap")
 
-        monkeypatch.setattr(factors._FactorTable, "choices", no_listing)
+        monkeypatch.setattr(factors, "iter_factors", no_listing)
         report, summary = run([complete(11), complete(12)], RunConfig(command="factors"))
         _, records, _ = parse_report(report)
         for rec, t in zip(records, (5238370, 60222844)):
@@ -372,10 +371,10 @@ class TestSkipRecords:
     def test_edge_membership_above_the_cap(self, monkeypatch):
         # with no flow nodes the weight search reads edge membership from
         # the full listing; on K11 the count refuses it before any factor
-        def no_listing(table, s):
+        def no_listing(g):
             raise AssertionError("listed factors above the cap")
 
-        monkeypatch.setattr(factors._FactorTable, "choices", no_listing)
+        monkeypatch.setattr(factors, "iter_factors", no_listing)
         report, summary = run([complete(11)],
                               RunConfig(command="weightfind", caps=Caps(flow_nodes=0)))
         _, (rec,), _ = parse_report(report)
@@ -401,11 +400,12 @@ class TestSkipRecords:
 
     def test_r11_on_a_long_cycle_is_quick(self):
         # the permanent's row-by-row program keeps a handful of column sets
-        # on a cycle's band, where 2^900 column subsets would never end
+        # on a cycle's band, where 2^900 column subsets would never end.
+        # It takes about a second; the bound leaves room for a slow machine
         start = time.process_time()
         report, summary = run([cycle(900)], RunConfig(
             command="verify", theorem="r11", caps=Caps(factor_n=1000)))
-        assert time.process_time() - start < 2
+        assert time.process_time() - start < 20
         _, (rec,), _ = parse_report(report)
         assert summary["pass"] == 1
         assert rec["check"] == {"transversals": 4, "permanent": 4}
