@@ -10,17 +10,18 @@ One subset DP over vertex sets (_FactorTable), built once per graph and
 kept with it while the graph lives, answers every count and listing: t(g)
 and the nonzero-transversal count are two residues of one packed value,
 read without listing a factor, and iter_factors lists the factors (for
-listings, edge membership and the t = 1 certificate) by walking the same
-table, taking only steps that lead to a factor; enumerate_factors groups
-them by K2 edges, each group already in canonical order.
+listings and edge membership) by walking the same table, taking only
+steps that lead to a factor; enumerate_factors groups them by K2 edges,
+each group already in canonical order.
 
 The table's time and memory grow exponentially with n whatever is asked of
 it: O(2^n * n^2) steps over at most 2^n sets and n * 2^n open paths, one f
 memo and one p memo per start vertex, and a recursion up to n + 1 calls
-deep (so no table has more than TABLE_N_LIMIT vertices).  Every function here but perrank_fast and has_factor (one matching of the
-bipartite double cover, in polynomial time) is meant for n <= about 12,
-the harness's factor_n cap.  Past the table, a listing costs in proportion
-to what it lists; a full one checks t <= LISTING_CAP.
+deep (so no table has more than TABLE_N_LIMIT vertices): it is meant for
+n <= about 12, the harness's factor_n cap.  Past the table, a listing costs
+in proportion to what it lists; a full one checks t <= LISTING_CAP.
+perrank_fast, has_factor, matching_factor and count_factors_at_most up to
+limit 2 take polynomial time at any n, on one double-cover matching.
 
 Conventions: the empty graph on 0 vertices has exactly one (empty) factor;
 an edgeless graph on n >= 1 vertices has none.  perrank is the order of the
@@ -135,8 +136,70 @@ def count_factors(g: Graph) -> int:
 
 
 def count_factors_at_most(g: Graph, limit: int) -> int:
-    """min(t(g), limit)."""
-    return min(count_factors(g), limit)
+    """min(t(g), limit); for limit <= 2 with no table, in O(n + m) after
+    the double-cover matching sigma.  With sigma not perfect, t = 0; else
+    its cycles form a factor F, and t >= 2 iff F has an even cycle (two K2
+    sets; K2s cannot cover an odd cycle) or some factor has an edge uv
+    outside F.  Oriented so that u -> v, that factor is a perfect matching
+    with the arc u -> v': one is iff the arc v -> sigma(u) lies on a cycle
+    of the digraph D: w -> sigma(x), x in N(w), sigma(x) != w (the cycle
+    alternates with sigma).  D's arcs inside F, w -> sigma^2(w), make each
+    odd cycle of F strongly connected, so this holds for some uv iff D with
+    those cycles contracted has a cycle: iff peeling the nodes that no arc
+    enters leaves some node."""
+    if limit > 2:
+        return min(count_factors(g), limit)
+    f = matching_factor(g)
+    if f is None:
+        return min(0, limit)
+    if any(len(c) % 2 == 0 for c in f.cycles):
+        return min(2, limit)
+    sigma, edges = vars(g)["_sigma"], g.edges
+    node = list(range(g.n))         # vertex -> least vertex of its F cycle
+    for c in f.cycles:
+        for i in c:
+            node[edges[i][0]] = node[edges[i][1]] = edges[c[0]][0]
+    succ = [[] for _ in node]
+    into = [0] * g.n
+    for w, adj in enumerate(g._adjacency):
+        for x in adj:
+            if sigma[x] != w and sigma[w] != x:     # wx is outside F
+                succ[node[w]].append(node[sigma[x]])
+                into[node[sigma[x]]] += 1
+    free = [v for v in range(g.n) if node[v] == v and not into[v]]
+    for v in free:
+        for w in succ[v]:
+            into[w] -= 1
+            if not into[w]:
+                free.append(w)
+    return min(1 + (len(free) < len(set(node))), limit)
+
+
+def matching_factor(g: Graph) -> Factor | None:
+    """The factor formed by the cycles of the double-cover matching sigma,
+    in canonical form, or None when g has none.  When t = 1 it is the
+    one factor, equal to next(iter_factors(g)): cycles by least vertex,
+    each from it toward its smaller neighbor, and K2s by index."""
+    if not has_factor(g):
+        return None
+    sigma = vars(g)["_sigma"]
+    index = {e: i for i, e in enumerate(g.edges)}
+    k2s, cycles, seen = [], [], set()
+    for v in range(g.n):
+        if v in seen:
+            continue
+        walk = [v]
+        while sigma[walk[-1]] != v:
+            walk.append(sigma[walk[-1]])
+        seen.update(walk)
+        if walk[-1] < walk[1]:
+            walk[1:] = walk[:0:-1]
+        edges = tuple(index[min(a, b), max(a, b)] for a, b in zip(walk, walk[1:] + walk[:1]))
+        if len(walk) == 2:
+            k2s.append(edges[0])
+        else:
+            cycles.append(edges)
+    return Factor(tuple(sorted(k2s)), tuple(cycles))
 
 
 def has_factor(g: Graph) -> bool:
@@ -323,30 +386,26 @@ class _FactorTable:
 
 
 def perrank_fast(g: Graph) -> int:
-    """perrank via a maximum matching of the bipartite double cover.
-
-    The double cover has two copies of V with edges u1-v2 and v1-u2 for each
-    edge uv; its maximum matching size equals the largest number of vertices
-    coverable by disjoint K2s and cycles.  The test suite validates this
-    identity against the subset DP on induced subgraphs, exhaustively for
-    n <= 7 and on seeded G(n, p) graphs for n = 8..12.  Kept with the graph,
-    so has_factor and every caller on it share one matching.
-    """
+    """perrank: the size of a maximum matching of the bipartite double cover
+    (edges u1-v2 and v1-u2 for each edge uv), which is the most vertices
+    disjoint K2s and cycles can cover.  The tests check this identity
+    against the subset DP on induced subgraphs up to n = 12.  The matching
+    is kept with the graph as "_sigma", so every caller on it shares one."""
     cache = vars(g)
-    if "_perrank" not in cache:
-        cache["_perrank"] = _double_cover_matching(g)
-    return cache["_perrank"]
+    if "_sigma" not in cache:
+        cache["_sigma"] = _double_cover_matching(g)
+    return g.n - cache["_sigma"].count(-1)
 
 
-def _double_cover_matching(g: Graph) -> int:
-    """Size of a maximum matching of g's bipartite double cover, grown from
-    each left vertex in turn by a breadth-first search over alternating
-    paths, flipped at the first free right vertex it reaches (a left vertex
-    with no such path then never gets one)."""
+def _double_cover_matching(g: Graph) -> list[int]:
+    """A maximum matching of g's bipartite double cover, as sigma: u -> the
+    vertex its left copy is matched to (-1 if none).  Grown from each left
+    vertex in turn by a breadth-first search over alternating paths, flipped
+    at the first free right vertex it reaches (a left vertex with no such
+    path then never gets one)."""
     adj = g._adjacency
     match_right = [-1] * g.n            # right vertex -> its left partner
     match_left = [-1] * g.n
-    size = 0
     for root in range(g.n):
         via = {}                        # right vertex -> left vertex before it
         free = -1
@@ -361,12 +420,10 @@ def _double_cover_matching(g: Graph) -> int:
                     queue.append(match_right[v])
             if free != -1:
                 break
-        if free != -1:
-            size += 1
         while free != -1:               # flip the path root -> ... -> free
             u = via[free]
             match_right[free], match_left[u], free = u, free, match_left[u]
-    return size
+    return match_left
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,14 @@ class Graph:
         return len(self._adjacency[v])
 
 
+def _graph_of(n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+    """A Graph on a validated graph's edges (each u < v < n, none repeated),
+    built without repeating __post_init__'s checks."""
+    g = object.__new__(Graph)
+    vars(g).update(n=n, edges=edges)
+    return g
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the documented edge-list format into a Graph (edges in file order)."""
     lines = text.splitlines()
@@ -241,11 +249,11 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     pos = {v: i for i, v in enumerate(verts)}
     edge_map = tuple(i for i, (u, v) in enumerate(g.edges) if u in pos and v in pos)
     sub_edges = tuple((pos[u], pos[v]) for u, v in (g.edges[i] for i in edge_map))
-    return Graph(len(verts), sub_edges), tuple(verts), edge_map
+    return _graph_of(len(verts), sub_edges), tuple(verts), edge_map
 
 
 def delete_edges(g: Graph, drop: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Graph without the given edge indices, plus the sub->parent edge map."""
     dropset = set(drop)
     edge_map = tuple(i for i in range(g.m) if i not in dropset)
-    return Graph(g.n, tuple(g.edges[i] for i in edge_map)), edge_map
+    return _graph_of(g.n, tuple(g.edges[i] for i in edge_map)), edge_map

@@ -49,6 +49,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from typing import Callable, Iterable
 
 try:
@@ -69,6 +70,7 @@ from .factors import (
     count_factors, count_nonzero_transversals, enumerate_factors, perrank_fast)
 from .graph_core import (
     Graph,
+    _graph_of,
     components,
     encode_graph6,
     parse_edge_list,
@@ -346,8 +348,8 @@ def _record(task: tuple[str, int, int, tuple[tuple[int, int], ...], RunConfig]) 
     added under cfg.timings."""
     command, index, n, edges, cfg = task
     start = time.perf_counter()
-    # the record's own graph: its caches go with the record
-    g = Graph(n, tuple(sorted(edges)))
+    # the record's own graph, on checked edges: its caches go with the record
+    g = _graph_of(n, tuple(sorted(edges)))
     rec = _base_record(index, g)
     capped = cfg.theorem if command == "verify" else command
     try:
@@ -381,9 +383,7 @@ def write_report(graphs: Iterable[Graph], cfg: RunConfig,
     if cfg.bound < 2:
         raise ValueError(f"flow bound must be at least 2, got {cfg.bound}")
     tasks = [(cfg.command, i, g.n, g.edges, cfg) for i, g in enumerate(graphs)]
-    write(_dumps({"signrank_report": 1, "version": __version__, "command": cfg.command,
-                  "theorem": cfg.theorem, "seed": cfg.seed, "bound": cfg.bound,
-                  "caps": {key: getattr(cfg.caps, key) for key in _CAP_NAMES}}) + "\n")
+    write(_header(cfg))
     summary = {"records": 0, "pass": 0, "fail": 0, "skip": 0, "partial": 0}
 
     def emit(rec: dict) -> None:
@@ -409,6 +409,14 @@ def write_report(graphs: Iterable[Graph], cfg: RunConfig,
             emit(rec)
     write(_dumps({"summary": summary}) + "\n")
     return summary
+
+
+@lru_cache(maxsize=16)
+def _header(cfg: RunConfig) -> str:
+    """The header line, encoded once per config (callers repeat configs)."""
+    return _dumps({"signrank_report": 1, "version": __version__, "command": cfg.command,
+                   "theorem": cfg.theorem, "seed": cfg.seed, "bound": cfg.bound,
+                   "caps": {key: getattr(cfg.caps, key) for key in _CAP_NAMES}}) + "\n"
 
 
 def pool_size(jobs: int, tasks: int) -> int:

@@ -1,14 +1,16 @@
 """Construction of nowhere-zero integer weightings that make the adjacency
 matrix singular, and impossibility certificates when there are none.
 
-A singular weighting exists iff the graph has at least two {1,2}-factors:
+A singular weighting exists iff the graph has at least two {1,2}-factors;
+which of t = 0, 1 or >= 2 holds is read off the double-cover matching, so
+only the algebraic route below builds a factor table:
 
 * t = 0: the determinant polynomial is identically zero, so every weighting
   is singular.  Reported as a witness with an explanatory flag rather than
   as impossibility.
 * t = 1: the determinant polynomial is a single monomial with nonzero
   coefficient, hence nonzero at every nowhere-zero point; impossibility is
-  certified structurally.
+  certified structurally, by the monomial of the factor.
 * t >= 2: a witness is constructed by trying routes in order:
     flow       a zero-sum flow makes the all-ones vector a kernel vector
                (row sums vanish): the least-bound flow up to flow_bound
@@ -37,7 +39,7 @@ from math import gcd
 from .assignments import EdgeAssignment
 from .errors import ResourceCapError
 from .exact_linalg import adjacency_matrix, det, matrix_at_point
-from .factors import Factor, count_factors_at_most, edge_membership, iter_factors
+from .factors import Factor, count_factors_at_most, edge_membership, iter_factors, matching_factor
 from .graph_core import Graph, components, delete_edges, induced_subgraph
 from .zero_sum_flow import DEFAULT_FLOW_NODES, flow_bound, least_bound_flow
 
@@ -83,7 +85,7 @@ def find_singular_weight(
         _check_witness(g, witness.values)
         return WeightSearchOutcome(witness, "exhaustive", None, identically_singular=True)
     if t2 == 1:
-        mono = _monomial_text(next(iter_factors(g)))
+        mono = _monomial_text(matching_factor(g))
         reason = (
             "unique factor: determinant polynomial is the single monomial "
             f"{mono}, nonzero at every nowhere-zero point"

@@ -19,11 +19,12 @@ from signrank.factors import (
     enumerate_factors,
     has_factor,
     iter_factors,
+    matching_factor,
     perrank_fast,
 )
 from signrank.graph_core import Graph, induced_subgraph
 
-from conftest import complete, cycle, path, petersen, star
+from conftest import complete, cycle, grid, path, petersen, star
 from oracles import perrank_bruteforce
 
 
@@ -347,6 +348,49 @@ class TestListingWalk:
         assert count_factors(g) == 822
         assert next(iter_factors(g)) == next(reference_factors(g))
         assert list(iter_factors(g)) == list(reference_factors(g))
+
+
+class TestMatchingTClass:
+    """count_factors_at_most up to 2, and the factor of the double-cover
+    matching, read without a factor table."""
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        t = count_factors(Graph(g.n, g.edges))
+        fresh = Graph(g.n, g.edges)
+        for limit in (0, 1, 2):
+            assert count_factors_at_most(fresh, limit) == min(t, limit)
+        f = matching_factor(fresh)
+        assert "_factor_table" not in vars(fresh)
+        assert (f is None) == (t == 0)
+        if t == 1:
+            assert f == next(iter_factors(g))
+
+    def test_corpora(self, corpus_le7, corpus_bipartite_2ec_n8):
+        for g in corpus_le7 + corpus_bipartite_2ec_n8:
+            self.check(g)
+
+    def test_random_gnp(self):
+        # a third with the edge list shuffled and its pairs flipped at random
+        rng = random.Random(20261020)
+        for i in range(600):
+            g = _gnp(rng, rng.randint(0, 12), rng.choice((0.1, 0.2, 0.3, 0.4)))
+            if i % 3 == 0:
+                edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+                rng.shuffle(edges)
+                g = Graph(g.n, tuple(edges))
+            self.check(g)
+
+    def test_long_graphs(self):
+        # no step recurses: a path's and an odd cycle's unique factor, and
+        # the second factor of an even cycle or a ladder, are found at any n
+        assert count_factors_at_most(path(5000), 2) == 1
+        assert matching_factor(path(5000)) == Factor(tuple(range(0, 4999, 2)), ())
+        assert count_factors_at_most(cycle(5001), 2) == 1
+        assert matching_factor(cycle(5001)) == Factor((), (tuple(range(5001)),))
+        assert count_factors_at_most(cycle(5000), 2) == 2
+        assert count_factors_at_most(grid(2, 2000), 2) == 2
+        assert count_factors_at_most(path(5001), 2) == 0
 
 
 class TestCanonicalListing:

@@ -344,6 +344,14 @@ class TestSubgraphs:
         assert h.edges == ((0, 1), (2, 3), (0, 3))
         assert emap == (0, 2, 3)
 
+    def test_subgraphs_equal_checked_graphs(self):
+        # both are built without Graph's checks, on edges that passed them
+        g = Graph(6, ((4, 5), (0, 3), (2, 1), (1, 3), (3, 5)))
+        sub, _, _ = induced_subgraph(g, [5, 1, 3])
+        h, _ = delete_edges(g, (0, 2))
+        assert sub == Graph(3, ((0, 1), (1, 2)))
+        assert h == Graph(6, ((0, 3), (1, 3), (3, 5)))
+
 
 class TestGraphValidation:
     def test_loop(self):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -317,11 +318,12 @@ class TestFlowEliminations:
 
 class TestDoubleCoverMatchings:
     @pytest.mark.parametrize("command, theorem", [
-        ("analyze", None), ("verify", "t21"), ("verify", "c22")])
+        ("analyze", None), ("verify", "t21"), ("verify", "c22"), ("weightfind", None),
+        ("verify", "t31")])
     def test_one_matching_per_graph(self, monkeypatch, command, theorem):
-        # perrank, full_perrank and the sign search's factor gate all read
-        # one double-cover matching per record (every graph is kept, so no
-        # id is reused)
+        # perrank, full_perrank, the sign search's factor gate and the
+        # weight search's t-class all read one double-cover matching per
+        # record (every graph is kept, so no id is reused)
         matched = []
         original = factors._double_cover_matching
 
@@ -335,6 +337,34 @@ class TestDoubleCoverMatchings:
         run(graphs, RunConfig(command=command, theorem=theorem))
         assert len({id(g) for g in matched}) == len(matched)
         assert sorted(g.edges for g in matched) == sorted(g.edges for g in graphs)
+
+
+class TestHeaderLine:
+    """The header line is encoded once per config and reused."""
+
+    @staticmethod
+    def header(cfg: RunConfig) -> str:
+        return run([], cfg)[0].splitlines()[0]
+
+    def test_configs_that_differ_give_their_own_lines(self):
+        base = RunConfig(command="verify", theorem="t21")
+        variants = [base, replace(base, seed=1), replace(base, theorem="t31"),
+                    replace(base, caps=Caps(flow_nodes=0)), replace(base, caps=Caps(factor_n=9))]
+        lines = [self.header(cfg) for cfg in variants]
+        assert len(set(lines)) == len(variants)
+        for cfg, line in zip(variants, lines):
+            head = json.loads(line)
+            assert (head["seed"], head["theorem"]) == (cfg.seed, cfg.theorem)
+            assert head["caps"] == {"sign_exhaustive_m": cfg.caps.sign_exhaustive_m,
+                                    "factor_n": cfg.caps.factor_n,
+                                    "flow_nodes": cfg.caps.flow_nodes}
+
+    def test_equal_configs_share_a_line(self):
+        parsed = RunConfig(command="analyze", seed=3, caps=parse_caps("flow_nodes=2000000"))
+        built = RunConfig(command="analyze", seed=3, caps=Caps())
+        assert parsed == built and parsed is not built
+        assert self.header(parsed) == self.header(built)
+        assert json.loads(self.header(parsed))["command"] == "analyze"
 
 
 class TestSkipRecords:

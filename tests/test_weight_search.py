@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from signrank import factors
 from signrank.assignments import EdgeAssignment
 from signrank.errors import InvalidAssignmentError
 from signrank.exact_linalg import adjacency_matrix, det
@@ -11,7 +12,7 @@ from signrank.graph_core import Graph, components, parse_graph6
 from signrank.weight_search import find_singular_weight, verify_weight
 from signrank.zero_sum_flow import flow_obstruction
 
-from conftest import complete, cycle, path, star
+from conftest import chain_of_4_cycles, complete, cycle, grid, path, star
 from oracles import flow_exists_nonbipartite_test
 
 
@@ -101,6 +102,50 @@ class TestWitnesses:
         a = find_singular_weight(g, seed=9)
         b = find_singular_weight(g, seed=9)
         assert a.witness == b.witness and a.route == b.route
+
+
+class TestFactorTableUse:
+    """t = 0, 1 and >= 2 are told apart by the double-cover matching: only
+    the algebraic route builds a factor table."""
+
+    def test_table_only_on_the_algebraic_route(self, monkeypatch, corpus_le7):
+        built = []
+
+        class CountingTable(factors._FactorTable):
+            def __init__(self, g):
+                built.append(g)
+                super().__init__(g)
+
+        monkeypatch.setattr(factors, "_FactorTable", CountingTable)
+        with_table = 0
+        for g in corpus_le7:
+            built.clear()
+            out = find_singular_weight(Graph(g.n, g.edges))
+            if out.route != "algebraic":
+                assert built == [], g
+            with_table += bool(built)
+        assert with_table > 0
+
+    @pytest.mark.parametrize("make, route", [
+        (lambda: grid(2, 50), "flow"),
+        (lambda: grid(6, 6), "flow"),
+        (lambda: cycle(201), None),
+        (lambda: cycle(5001), None),
+        (lambda: chain_of_4_cycles(20), "exhaustive"),
+    ], ids=["grid(2,50)", "grid(6,6)", "cycle(201)", "cycle(5001)", "chain_of_4_cycles(20)"])
+    def test_large_graphs(self, make, route):
+        # a table on any of these would exhaust memory or its depth limit
+        g = make()
+        out = find_singular_weight(g)
+        assert out.route == route
+        assert "_factor_table" not in vars(g)
+        if route is None:
+            # one odd cycle: the monomial 2 * x1 * ... * xn
+            assert out.certificate_impossible.endswith(
+                "2*" + "*".join(f"x{i + 1}" for i in range(g.n))
+                + ", nonzero at every nowhere-zero point")
+        else:
+            assert verify_weight(g, out.witness) == "singular"
 
 
 class TestRootHunts:
