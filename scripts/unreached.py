@@ -8,6 +8,8 @@ src/signrank, then prints every line of a function body that none of them
 executed, as `path:line: source`, and a count.  A branch that no corpus
 graph reaches should be deleted, or get a test that reaches it; this lists
 the candidates.  Lines reached only by the test suite are listed too.
+Last, it prints the line count of src/signrank/*.py (as `wc -l` counts
+them), the size figure to watch alongside.
 
     python3 scripts/unreached.py
 
@@ -61,14 +63,16 @@ def main() -> int:
             report_digests.entry(corpus, variant)
     finally:
         sys.settrace(None)
-    missed = 0
+    missed = total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text().splitlines()
+        total += len(source)
         for line in sorted(function_lines(path)):
             if (str(path), line) not in reached:
                 missed += 1
                 print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
     print(f"{missed} function lines in src/signrank reached by no digest case")
+    print(f"{total} lines in src/signrank/*.py")
     return 0
 
 

@@ -31,9 +31,6 @@ class EdgeAssignment:
             if self.kind == "sign" and v not in (-1, 1):
                 raise InvalidAssignmentError(f"sign value at edge {i} must be +-1, got {v}")
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def check_domain(self, g: Graph) -> None:
         if len(self.values) != g.m:
             raise InvalidAssignmentError(

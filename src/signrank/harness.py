@@ -33,7 +33,7 @@ its own graph in that order from the input's vertex count and edges, so
 whatever is cached on it goes with the record: no record, and no run, sees
 another's work.
 
-Checks (cmd_verify tags):
+Checks (the verify command's theorem tags, in _CHECKERS):
 
     t21    a full-rank signing exists  <=>  full perrank  <=>  a factor exists
     c22    max rank over signs equals perrank
@@ -64,6 +64,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
+from .assignments import EdgeAssignment
 from .errors import GraphParseError, ResourceCapError
 from .exact_linalg import adjacency_matrix, mat_vec, permanent
 from .factors import (
@@ -158,26 +159,6 @@ def _base_record(index: int, g: Graph) -> dict:
     return {"record": index, "id": gid, "g6": g6, "n": g.n, "m": g.m}
 
 
-def _sign_outcome_dict(outcome) -> dict:
-    return {
-        "witness": list(outcome.witness.values) if outcome.witness is not None else None,
-        "method": outcome.method,
-        "attempts": outcome.attempts,
-        "certified_none": outcome.certified_none,
-        "basis": outcome.basis,
-    }
-
-
-def _weight_outcome_dict(outcome) -> dict:
-    return {
-        "witness": list(outcome.witness.values) if outcome.witness is not None else None,
-        "route": outcome.route,
-        "certificate_impossible": outcome.certificate_impossible,
-        "identically_singular": outcome.identically_singular,
-        "max_abs_weight": outcome.witness.max_abs() if outcome.witness is not None else None,
-    }
-
-
 # Each command maps (graph, its seed, config) to the fields of its record;
 # _record adds the rest.
 
@@ -213,13 +194,27 @@ def _zsf(g: Graph, seed: int, cfg: RunConfig) -> dict:
 
 
 def _signfind(g: Graph, seed: int, cfg: RunConfig) -> dict:
+    """The sign block of signfind, analyze and verify t21 records."""
     outcome = find_fullrank_sign(g, seed=seed, exhaustive_m_cap=cfg.caps.sign_exhaustive_m)
-    return {"sign": _sign_outcome_dict(outcome)}
+    return {"sign": {
+        "witness": list(outcome.witness.values) if outcome.witness is not None else None,
+        "method": outcome.method,
+        "attempts": outcome.attempts,
+        "certified_none": outcome.certified_none,
+        "basis": outcome.basis,
+    }}
 
 
 def _weightfind(g: Graph, seed: int, cfg: RunConfig) -> dict:
+    """The weight block of weightfind, analyze and verify t31 and r32 records."""
     outcome = find_singular_weight(g, seed=seed, node_budget=cfg.caps.flow_nodes)
-    return {"weight": _weight_outcome_dict(outcome)}
+    return {"weight": {
+        "witness": list(outcome.witness.values) if outcome.witness is not None else None,
+        "route": outcome.route,
+        "certificate_impossible": outcome.certificate_impossible,
+        "identically_singular": outcome.identically_singular,
+        "max_abs_weight": outcome.witness.max_abs() if outcome.witness is not None else None,
+    }}
 
 
 def _minrank(g: Graph, seed: int, cfg: RunConfig) -> dict:
@@ -244,14 +239,13 @@ def _verify(g: Graph, seed: int, cfg: RunConfig) -> dict:
 
 
 def _check_t21(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
-    # the sign side is signfind's search; the factor side comes from the
+    # the sign side is signfind's block; the factor side comes from the
     # table, not from has_factor, which is the same double-cover matching as
     # full_perrank
-    outcome = find_fullrank_sign(g, seed=seed, exhaustive_m_cap=cfg.caps.sign_exhaustive_m)
-    factor = count_factors(g) > 0
-    full = perrank_fast(g) == g.n
-    detail = {"has_factor": factor, "full_perrank": full, "sign": _sign_outcome_dict(outcome)}
-    return (outcome.witness is not None) == factor == full, detail
+    detail = _signfind(g, seed, cfg)
+    detail.update(has_factor=count_factors(g) > 0, full_perrank=perrank_fast(g) == g.n)
+    signed = detail["sign"]["witness"] is not None
+    return signed == detail["has_factor"] == detail["full_perrank"], detail
 
 
 def _check_c22(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
@@ -262,17 +256,17 @@ def _check_c22(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
 
 def _check_t31(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
     t = count_factors(g)
-    outcome = find_singular_weight(g, seed=seed, node_budget=cfg.caps.flow_nodes)
-    detail = {"t": t, "weight": _weight_outcome_dict(outcome)}
+    detail = {"t": t, **_weightfind(g, seed, cfg)}
+    weight = detail["weight"]
     if t == 0:
-        ok = outcome.identically_singular and outcome.witness is not None
+        ok = weight["identically_singular"] and weight["witness"] is not None
     elif t == 1:
-        ok = outcome.certificate_impossible is not None and outcome.witness is None
+        ok = weight["certificate_impossible"] is not None and weight["witness"] is None
     else:
         ok = (
-            outcome.witness is not None
-            and not outcome.identically_singular
-            and verify_weight(g, outcome.witness) == "singular"
+            weight["witness"] is not None
+            and not weight["identically_singular"]
+            and verify_weight(g, EdgeAssignment(weight["witness"], "weight")) == "singular"
         )
     return ok, detail
 
@@ -284,13 +278,13 @@ def _check_r11(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
 
 
 def _check_r32(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:
-    outcome = find_singular_weight(g, seed=seed, node_budget=cfg.caps.flow_nodes)
-    detail = {"weight": _weight_outcome_dict(outcome)}
-    if outcome.route != "flow" or outcome.witness is None:
+    detail = _weightfind(g, seed, cfg)
+    weight = detail["weight"]
+    if weight["route"] != "flow" or weight["witness"] is None:
         detail["applicable"] = False
         return True, detail
     detail.update(applicable=True, bound=flow_bound(g) - 1)
-    return outcome.witness.max_abs() <= detail["bound"], detail
+    return weight["max_abs_weight"] <= detail["bound"], detail
 
 
 def _check_flows(g: Graph, seed: int, cfg: RunConfig) -> tuple[bool, dict]:

@@ -10,15 +10,16 @@ witness.
 
 All three questions are one rank scan that stops at a proven goal: rank n
 for a full-rank sign, perrank (rank never exceeds it) for the maximum, and
-0 for the minimum.  The two highest-rank questions scan one schedule:
+0 for the minimum.  One generator feeds every scan: given a seed,
 SAMPLES_PER_EDGE * m seeded samples, then the switching-class scan, so a
-sample answers cheaply and the scan makes the schedule complete.  The
-minimum scans the classes alone, since no sample certifies a minimum.  The
-switching-class scan quotients by switching: negating all edges at a vertex
-conjugates the matrix by a +-1 diagonal, preserving determinant and rank,
-so it is enough to scan sign vectors that are +1 on a spanning forest
-(2^(m-n+c) representatives instead of 2^m).  It is refused when m exceeds
-the cap, and only once it is reached.
+sample answers cheaply and the class scan makes the schedule complete.  The
+two highest-rank questions pass a seed; the minimum scans the classes
+alone, since no sample certifies a minimum.  The switching-class scan
+quotients by switching: negating all edges at a vertex conjugates the
+matrix by a +-1 diagonal, preserving determinant and rank, so it is enough
+to scan sign vectors that are +1 on a spanning forest (2^(m-n+c)
+representatives instead of 2^m).  It is refused when m exceeds the cap,
+only once it is reached, with a reason that names the caller's scan.
 """
 
 from __future__ import annotations
@@ -77,29 +78,24 @@ def iter_sign_representatives(g: Graph) -> Iterator[tuple[int, ...]]:
         yield tuple(vec)
 
 
-def _sampled_signs(m: int, seed: int, count: int) -> Iterator[tuple[int, ...]]:
-    """count uniform +-1 vectors of length m from one seeded generator."""
-    rng = random.Random(seed)
-    return (tuple(rng.choice((1, -1)) for _ in range(m)) for _ in range(count))
-
-
 def _samples(g: Graph) -> int:
     return SAMPLES_PER_EDGE * max(g.m, 1)
 
 
-def _classes(g: Graph, cap: int, scan: str) -> Iterator[tuple[int, ...]]:
-    """iter_sign_representatives under the cap on m, checked only once the
-    scan is reached: raises ResourceCapError, naming the scan, if m > cap."""
+def _signs(g: Graph, cap: int, scan: str, seed: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The sign vectors a scan ranks: with a seed, _samples(g) uniform +-1
+    vectors from one seeded generator first; then iter_sign_representatives,
+    under the cap on m, checked only once the class scan is reached: raises
+    ResourceCapError, naming the scan, if m > cap."""
+    if seed is not None:
+        rng = random.Random(seed)
+        for _ in range(_samples(g)):
+            yield tuple(rng.choice((1, -1)) for _ in range(g.m))
+        scan += f" after {_samples(g)} missed samples"
     if g.m > cap:
         raise ResourceCapError(
             f"{scan} is exhaustive over 2^m signs and needs m <= {cap}; graph has m={g.m}")
     yield from iter_sign_representatives(g)
-
-
-def _schedule(g: Graph, seed: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """The sign schedule: seeded samples, then one sign per switching class."""
-    yield from _sampled_signs(g.m, seed, _samples(g))
-    yield from _classes(g, cap, f"sign scan after {_samples(g)} missed samples")
 
 
 def _scan(g: Graph, signs: Iterable[tuple[int, ...]], goal: int,
@@ -132,7 +128,7 @@ def find_fullrank_sign(
     """
     if not has_factor(g):
         return SignSearchOutcome(None, "randomized", 0, basis="no_factor")
-    best, values, attempts = _scan(g, _schedule(g, seed, exhaustive_m_cap), g.n)
+    best, values, attempts = _scan(g, _signs(g, exhaustive_m_cap, "sign scan", seed), g.n)
     # soundness: re-check the witness independently of the search path
     if best != g.n or det(adjacency_matrix(g, values)) == 0:
         raise AssertionError("no verified full-rank sign on a graph with a {1,2}-factor")
@@ -150,7 +146,7 @@ def max_rank_over_signs(
     Rank never exceeds perrank (the term rank), so the schedule stops at the
     first sign whose rank reaches it; below that, only the complete scan
     pins the maximum, and it raises ResourceCapError above the cap."""
-    return _scan(g, _schedule(g, seed, exhaustive_m_cap), perrank_fast(g))[0]
+    return _scan(g, _signs(g, exhaustive_m_cap, "sign scan", seed), perrank_fast(g))[0]
 
 
 def min_rank_over_signs(
@@ -164,5 +160,5 @@ def min_rank_over_signs(
     sign per switching class, 2^(m-n+c) of them, covers all 2^m.  Data
     collection for an open problem; scan only, since no sample certifies a
     minimum, and refused above the cap."""
-    best, values, _ = _scan(g, _classes(g, exhaustive_m_cap, "min-rank scan"), 0, lowest=True)
+    best, values, _ = _scan(g, _signs(g, exhaustive_m_cap, "min-rank scan"), 0, lowest=True)
     return best, EdgeAssignment(values, "sign")

@@ -118,10 +118,6 @@ def _check_witness(g: Graph, values: tuple[int, ...]) -> None:
         raise AssertionError("witness failed the exact singularity check")
 
 
-def _f_at(g: Graph, values) -> int:
-    return det(matrix_at_point(g, values))
-
-
 def _singular_values(
     g: Graph, rng: random.Random, node_budget: int
 ) -> tuple[tuple[int, ...] | None, str | None]:
@@ -192,10 +188,6 @@ def _lift(m: int, emap: tuple[int, ...], rec: tuple[int, ...]) -> tuple[int, ...
     return tuple(out)
 
 
-def _random_point(m: int, rng: random.Random) -> list[int]:
-    return [rng.choice((1, -1)) * rng.randint(1, TRIAL_MAGNITUDE) for _ in range(m)]
-
-
 def _root_point(pt: list[int], j: int, c1: int, c0: int) -> tuple[int, ...] | None:
     """pt with x_j at the nonzero root of c1*x + c0 (1 if it vanishes), scaled
     to integers by homogeneity; None when it has no nonzero root."""
@@ -213,18 +205,17 @@ def _hunt_linear_part_root(
     """For f = x_i * h (edge i on a cycle of every factor, never a K2),
     solve h = 0 for edge j, which is never a K2, so h is linear in x_j.
     h does not involve x_i, so it is f with x_i = 1."""
-    m = g.m
     for _ in range(ROOT_TRIALS):
-        pt = _random_point(m, rng)
+        pt = [rng.choice((1, -1)) * rng.randint(1, TRIAL_MAGNITUDE) for _ in range(g.m)]
         pt[i] = 1
 
         def h_with(x: int) -> int:
             q = list(pt)
             q[j] = x
-            return _f_at(g, q)
+            return det(matrix_at_point(g, q))
 
         c0 = h_with(0)
         out = _root_point(pt, j, h_with(1) - c0, c0)
-        if out is not None and _f_at(g, out) == 0 and all(out):
+        if out is not None and det(matrix_at_point(g, out)) == 0 and all(out):
             return out
     return None

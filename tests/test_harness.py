@@ -13,7 +13,7 @@ from signrank.assignments import EdgeAssignment
 from signrank.errors import GraphParseError
 from signrank.exact_linalg import adjacency_matrix, det
 from signrank.graph_core import Graph, encode_graph6, parse_graph6
-from signrank import cli, factors, harness, zero_sum_flow
+from signrank import cli, factors, harness, weight_search, zero_sum_flow
 from signrank.harness import (
     Caps,
     RunConfig,
@@ -410,6 +410,20 @@ class TestSkipRecords:
         _, (rec,), _ = parse_report(report)
         assert rec["status"] == "skip" and "weight" not in rec
         assert rec["reason"] == f"t=5238370 factors exceed the listing cap {factors.LISTING_CAP}"
+        assert summary["skip"] == 1
+
+    @pytest.mark.parametrize("command, theorem", [("weightfind", None), ("verify", "r32")])
+    def test_factor_cap_keeps_dense_determinants_off(self, command, theorem, monkeypatch):
+        # t = 0 here, so the weight search needs no factor table, but its
+        # vacuous witness is re-checked by an exact n x n determinant, whose
+        # time grows about as n^3 (n = 3301).  The factor cap answers at once
+        def no_det(matrix):
+            raise AssertionError("exact determinant above the factor cap")
+
+        monkeypatch.setattr(weight_search, "det", no_det)
+        report, summary = run([chain_of_4_cycles(1100)], RunConfig(command=command, theorem=theorem))
+        _, (rec,), _ = parse_report(report)
+        assert rec["status"] == "skip" and rec["reason"] == "n=3301 exceeds factor cap 12"
         assert summary["skip"] == 1
 
     def test_recursion_limit_skips_the_record(self, tmp_path, capsys):

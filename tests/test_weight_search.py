@@ -6,7 +6,7 @@ import pytest
 from signrank import factors
 from signrank.assignments import EdgeAssignment
 from signrank.errors import InvalidAssignmentError
-from signrank.exact_linalg import adjacency_matrix, det
+from signrank.exact_linalg import adjacency_matrix, det, matrix_at_point
 from signrank.factors import count_factors, count_factors_at_most
 from signrank.graph_core import Graph, components, parse_graph6
 from signrank.weight_search import find_singular_weight, verify_weight
@@ -152,13 +152,13 @@ class TestRootHunts:
     """The rational-root helpers directly."""
 
     def test_linear_part_solver(self):
-        from signrank.weight_search import _f_at, _hunt_linear_part_root
+        from signrank.weight_search import _hunt_linear_part_root
 
         g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)))
         # edge (0,1) lies on a cycle of every factor; solve its linear part
         # through the cycle edge (2,3)
         out = _hunt_linear_part_root(g, 0, 2, random.Random(3))
-        assert out is not None and _f_at(g, out) == 0
+        assert out is not None and det(matrix_at_point(g, out)) == 0
 
     def test_rational_root_solver_cases(self):
         from signrank.weight_search import _root_point
