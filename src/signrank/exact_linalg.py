@@ -25,8 +25,6 @@ def adjacency_matrix(g: Graph, w: Union[EdgeAssignment, Sequence[int]]) -> list[
     """Weighted adjacency matrix of g: symmetric, zero diagonal, entry (i,j)
     equal to the weight of edge ij.  Every edge needs a nonzero weight."""
     values = w.values if isinstance(w, EdgeAssignment) else tuple(int(x) for x in w)
-    if len(values) != g.m:
-        raise InvalidAssignmentError(f"assignment covers {len(values)} edges, graph has {g.m}")
     if any(v == 0 for v in values):
         raise InvalidAssignmentError("edge weights must be nonzero")
     return matrix_at_point(g, values)
@@ -36,7 +34,7 @@ def matrix_at_point(g: Graph, values: Sequence[int]) -> list[list[int]]:
     """Symbolic adjacency matrix evaluated at a point; zeros are allowed here
     (used for generic polynomial evaluation, not for weighted graphs)."""
     if len(values) != g.m:
-        raise InvalidAssignmentError(f"point has {len(values)} coordinates, graph has {g.m} edges")
+        raise InvalidAssignmentError(f"{len(values)} values given, graph has {g.m} edges")
     a = [[0] * g.n for _ in range(g.n)]
     for idx, (u, v) in enumerate(g.edges):
         a[u][v] = a[v][u] = int(values[idx])

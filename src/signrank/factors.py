@@ -59,7 +59,7 @@ def iter_factors(g: Graph) -> Iterator[Factor]:
     through v in lexicographic order of its vertex sequence; a choice is
     taken only when the vertices it leaves still have a factor, so every
     step leads to output.  The order is that of a backtracking search over
-    the lowest uncovered vertex.
+    the lowest uncovered vertex, whose rise puts the K2 edges in index order.
 
     Before the first factor the walk fills the table: f over every set it
     can reach and p over every open path on the way (the cost the module
@@ -78,8 +78,6 @@ def iter_factors(g: Graph) -> Iterator[Factor]:
     full = (1 << n) - 1
     if not table.f(full):
         return
-    # K2 edges come by least vertex, which rises with depth: by index if sorted
-    in_order = list(g.edges) == sorted(g.edges)
     choices = table.choices
     # each level: the K2 edges and cycles taken above it, and its choices
     stack = [((), (), iter(choices(full)))]
@@ -91,7 +89,7 @@ def iter_factors(g: Graph) -> Iterator[Factor]:
             if left:
                 stack.append((k2_edges, cycle_edges, iter(choices(left))))
                 break
-            yield Factor(k2_edges if in_order else tuple(sorted(k2_edges)), cycle_edges)
+            yield Factor(k2_edges, cycle_edges)
         else:
             stack.pop()
 
@@ -103,20 +101,18 @@ def enumerate_factors(g: Graph) -> list[Factor]:
     The factors of iter_factors, grouped by K2 edge tuple, need only their
     group keys sorted.  Two factors with the same K2 edges first part at a
     set S whose least vertex v both cover by a cycle (a K2 at v would be
-    the same edge), taken in lexicographic order of vertex sequence.  With
-    g.edges sorted that is the order of their edge tuples: after a common
+    the same edge), taken in lexicographic order of vertex sequence.  As
+    g.edges is sorted, that is the order of their edge tuples: after a common
     vertex a, a step to b < c takes the edge {a, b} < {a, c}, and closing
     takes {a, v}, below every other edge at a as v is least in S.  The
     cycles before S being the same, these are the first cycles in which
-    the two differ.  With the edges out of order each group is sorted.
+    the two differ.
     """
     _listable(g)
     groups = defaultdict(list)      # K2 edges -> factors, in walk order
     for f in iter_factors(g):
         groups[f.k2_edges].append(f)
-    if list(g.edges) == sorted(g.edges):
-        return [f for k2s in sorted(groups) for f in groups[k2s]]
-    return [f for k2s in sorted(groups) for f in sorted(groups[k2s])]
+    return [f for k2s in sorted(groups) for f in groups[k2s]]
 
 
 def _listable(g: Graph) -> int:
@@ -199,7 +195,7 @@ def matching_factor(g: Graph) -> Factor | None:
             k2s.append(edges[0])
         else:
             cycles.append(edges)
-    return Factor(tuple(sorted(k2s)), tuple(cycles))
+    return Factor(tuple(k2s), tuple(cycles))
 
 
 def has_factor(g: Graph) -> bool:

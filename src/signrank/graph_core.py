@@ -1,4 +1,4 @@
-"""Simple undirected graphs with a frozen edge order, plus the structural
+"""Simple undirected graphs with their edges sorted, plus the structural
 predicates (connected components, spanning forests, bipartiteness) that the
 rank searches depend on.  They, and the flow obstruction, read one walk,
 made once per graph and cached on it: from each component's smallest
@@ -8,10 +8,10 @@ component is a run of it.  For an edge ab outside the forest, with a popped
 first, b was waiting on the stack, so b's parent is the lowest common
 ancestor of a and b.
 
-The edge order is canonical: it is fixed when a graph is built and defines
-the variable indexing x1..xm used by every polynomial, sign vector and
-weight vector downstream.  Edge-list input keeps file order; graph6 input
-uses row-major upper-triangle order of the decoded adjacency matrix.
+The edge order is canonical: a graph keeps its edges (u, v), u < v, sorted,
+the order graph6 decoding gives, however they were given.  It defines the
+variable indexing x1..xm used by every polynomial, sign vector and weight
+vector downstream.
 
 Input formats
 -------------
@@ -45,7 +45,7 @@ class _Walk(NamedTuple):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with an ordered edge list."""
+    """Simple undirected graph on vertices 0..n-1, its edges (u < v) sorted."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -65,7 +65,7 @@ class Graph:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
             normalized.append(e)
-        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "edges", tuple(sorted(normalized)))
 
     @property
     def m(self) -> int:
@@ -77,12 +77,12 @@ class Graph:
 
     @cached_property
     def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex tuple of (neighbor, edge index) pairs, neighbor-sorted."""
+        """Per-vertex (neighbor, edge index) pairs, neighbor-sorted as edges are."""
         inc = [[] for _ in range(self.n)]
         for i, (u, v) in enumerate(self.edges):
             inc[u].append((v, i))
             inc[v].append((u, i))
-        return tuple(tuple(sorted(a)) for a in inc)
+        return tuple(map(tuple, inc))
 
     @cached_property
     def _walk(self) -> _Walk:
@@ -112,15 +112,15 @@ class Graph:
 
 
 def _graph_of(n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
-    """A Graph on a validated graph's edges (each u < v < n, none repeated),
-    built without repeating __post_init__'s checks."""
+    """A Graph on a validated graph's edges (each u < v < n, none repeated,
+    in sorted order), built without repeating __post_init__'s checks."""
     g = object.__new__(Graph)
     vars(g).update(n=n, edges=edges)
     return g
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the documented edge-list format into a Graph (edges in file order)."""
+    """Parse the documented edge-list format into a Graph."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise GraphParseError("line 1: expected vertex count")
@@ -160,8 +160,7 @@ _G6_CHARS = bytes((63 + v) % 256 for v in range(256))
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 string.  Edge order of the result is the row-major
-    upper-triangle order of the adjacency matrix."""
+    """Decode one graph6 string."""
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
@@ -198,7 +197,7 @@ def parse_graph6(text: str) -> Graph:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode a graph in graph6 (inverse of parse_graph6 up to edge order)."""
+    """Encode a graph in graph6 (inverse of parse_graph6)."""
     n = g.n
     if n <= 62:
         head = [n]

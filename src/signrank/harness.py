@@ -27,11 +27,11 @@ Per-record wall-clock timings are only included when explicitly requested,
 because they would break that reproducibility.
 
 Every witness embedded in a record is self-contained: the record carries the
-graph (graph6) and the witness values in the edge order parse_graph6 gives
-for it, so it can be re-verified from the report alone.  Each record builds
-its own graph in that order from the input's vertex count and edges, so
-whatever is cached on it goes with the record: no record, and no run, sees
-another's work.
+graph (graph6) and the witness values in its edge order, which parse_graph6
+gives, so it can be re-verified from the report alone.  Each record builds
+its own graph from the input's vertex count and edges, so whatever is
+cached on it goes with the record: no record, and no run, sees another's
+work.
 
 Checks (the verify command's theorem tags, in _CHECKERS):
 
@@ -335,7 +335,7 @@ _FACTOR_CAPPED = frozenset(("analyze", "factors", "weightfind", "t21", "t31", "r
 
 def _record(task: tuple[str, int, int, tuple[tuple[int, int], ...], RunConfig]) -> dict:
     """The record of one task (command, index, n, edges, config), on a graph
-    built from n and the edges in graph6 order: the base fields, status "ok"
+    built from n and a Graph's edges: the base fields, status "ok"
     (or the pass/fail of a verify check) and the command's fields; or status
     "skip" with a reason when the graph exceeds factor_n (for the commands
     and tags above) or a search or the factor table hits a cap.  "ms" is
@@ -343,7 +343,7 @@ def _record(task: tuple[str, int, int, tuple[tuple[int, int], ...], RunConfig]) 
     command, index, n, edges, cfg = task
     start = time.perf_counter()
     # the record's own graph, on checked edges: its caches go with the record
-    g = _graph_of(n, tuple(sorted(edges)))
+    g = _graph_of(n, edges)
     rec = _base_record(index, g)
     capped = cfg.theorem if command == "verify" else command
     try:

@@ -9,6 +9,8 @@ from signrank import sign_search
 from signrank.graph_core import Graph, parse_graph6
 
 DATA = Path(__file__).parent / "data"
+# K4 minus an edge, its edges out of graph6 order
+SHUFFLED_EDGE_LIST = "4\n2 3\n0 3\n1 2\n0 1\n1 3\n"
 
 
 @functools.lru_cache(maxsize=None)

@@ -53,8 +53,8 @@ class TestConstruction:
 
     def test_c4(self):
         assert factor_expansion(cycle(4)) == {
-            (2, 0, 2, 0): 1,
-            (0, 2, 0, 2): 1,
+            (2, 0, 0, 2): 1,
+            (0, 2, 2, 0): 1,
             (1, 1, 1, 1): -2,
         }
 
@@ -74,9 +74,9 @@ class TestConstruction:
 class TestEdgeDegreeSplit:
     def test_c4_edge0(self):
         quad, lin, const = split(factor_expansion(cycle(4)), 0)
-        assert quad == {(0, 0, 2, 0): 1}
+        assert quad == {(0, 0, 0, 2): 1}
         assert lin == {(0, 1, 1, 1): -2}
-        assert const == {(0, 2, 0, 2): 1}
+        assert const == {(0, 2, 2, 0): 1}
 
     def test_k2(self):
         assert split(factor_expansion(complete(2)), 0) == ({(0,): -1}, {}, {})

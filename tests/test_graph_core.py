@@ -16,7 +16,7 @@ from signrank.graph_core import (
     spanning_forest,
 )
 
-from conftest import chain_of_4_cycles, complete, cycle, path
+from conftest import SHUFFLED_EDGE_LIST, chain_of_4_cycles, complete, cycle, path
 from oracles import has_bridge
 
 
@@ -341,7 +341,7 @@ class TestSubgraphs:
     def test_delete_edges(self):
         g = cycle(4)
         h, emap = delete_edges(g, (1,))
-        assert h.edges == ((0, 1), (2, 3), (0, 3))
+        assert h.edges == ((0, 1), (1, 2), (2, 3))
         assert emap == (0, 2, 3)
 
     def test_subgraphs_equal_checked_graphs(self):
@@ -350,7 +350,7 @@ class TestSubgraphs:
         sub, _, _ = induced_subgraph(g, [5, 1, 3])
         h, _ = delete_edges(g, (0, 2))
         assert sub == Graph(3, ((0, 1), (1, 2)))
-        assert h == Graph(6, ((0, 3), (1, 3), (3, 5)))
+        assert h == Graph(6, ((1, 2), (3, 5), (4, 5)))
 
 
 class TestGraphValidation:
@@ -369,3 +369,24 @@ class TestGraphValidation:
     def test_pairs_normalized(self):
         g = Graph(3, ((2, 0),))
         assert g.edges == ((0, 2),)
+
+    def test_one_edge_order(self):
+        # shuffled with pairs flipped, from an edge list out of order, or
+        # through graph6: the same graph, its edges sorted
+        flipped = Graph(4, ((3, 2), (0, 3), (2, 1), (0, 1), (3, 1)))
+        g = parse_edge_list(SHUFFLED_EDGE_LIST)
+        assert g.edges == ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
+        assert flipped == g == parse_graph6(encode_graph6(g))
+
+    def test_incidence_neighbor_sorted(self):
+        # read off the sorted edges, with no sort of its own
+        rng = random.Random(3)
+        for _ in range(20):
+            n = rng.randint(2, 9)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v)
+                     for u, v in complete(n).edges if rng.random() < 0.4]
+            rng.shuffle(edges)
+            g = Graph(n, tuple(edges))
+            for v in range(n):
+                at_v = [(a + b - v, i) for i, (a, b) in enumerate(g.edges) if v in (a, b)]
+                assert g.incidence[v] == tuple(sorted(at_v))

@@ -27,7 +27,8 @@ from signrank.harness import (
 from signrank.weight_search import verify_weight
 from signrank.zero_sum_flow import verify_flow
 
-from conftest import DATA, chain_of_4_cycles, complete, cycle, grid, path, petersen
+from conftest import (
+    DATA, SHUFFLED_EDGE_LIST, chain_of_4_cycles, complete, cycle, grid, path, petersen)
 
 C4_G6 = encode_graph6(cycle(4))
 P3_G6 = encode_graph6(path(3))
@@ -588,14 +589,14 @@ class TestDeterminism:
         assert [rec["status"] for rec in parse_report(a)[1]] == ["ok", "skip", "skip"]
 
     def test_edge_order_does_not_change_bytes(self):
-        # a graph given in any edge order is run as the graph of its g6, in
-        # one process or in a pool that re-parses it
+        # a graph given in any edge order is the graph of its g6, run in one
+        # process or in a pool that re-parses it
         rng = random.Random(5)
         graphs = [complete(5), grid(2, 3), petersen(), chain_of_4_cycles(3),
                   load_corpus(SHUFFLED_EDGE_LIST, "edgelist")[0]]
         shuffled = [Graph(g.n, tuple(rng.sample(g.edges, g.m))) for g in graphs]
         sorted_ = [parse_graph6(encode_graph6(g)) for g in graphs]
-        assert any(list(g.edges) != list(h.edges) for g, h in zip(shuffled, sorted_))
+        assert shuffled == sorted_
         expected = run(sorted_, RunConfig(command="analyze", seed=3))[0]
         for jobs in (1, 2):
             assert run(shuffled, RunConfig(command="analyze", seed=3, jobs=jobs))[0] == expected
@@ -648,9 +649,6 @@ class TestReportDigests:
 
 
 # a 4-vertex graph whose edge-list order is not graph6 order
-SHUFFLED_EDGE_LIST = "4\n2 3\n0 3\n1 2\n0 1\n1 3\n"
-
-
 class TestWitnessesSelfContained:
     @staticmethod
     def reverify(records):
@@ -674,9 +672,16 @@ class TestWitnessesSelfContained:
                     assert obs["y"][u] + obs["y"][v] == (obs["d"] if i == obs["edge"] else 0)
 
     def test_reverify_from_report_alone(self):
-        graphs = load_corpus(CORPUS, "graph6")
+        # graphs built in code, as given or shuffled, are the graphs of their
+        # g6, so a witness found on them indexes the record's edges
+        rng = random.Random(7)
+        built = [cycle(6), grid(2, 3), petersen(), chain_of_4_cycles(3)]
+        built += [Graph(g.n, tuple(rng.sample(g.edges, g.m))) for g in built]
+        graphs = load_corpus(CORPUS, "graph6") + built
         report, _ = run(graphs, RunConfig(command="analyze"))
-        self.reverify(parse_report(report)[1])
+        records = parse_report(report)[1]
+        assert [parse_graph6(rec["g6"]) for rec in records] == graphs
+        self.reverify(records)
 
     def test_edge_list_out_of_graph6_order(self):
         # witnesses index the edges of the record's g6, not the file's order

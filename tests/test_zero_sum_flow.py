@@ -299,8 +299,8 @@ class TestSolver:
     # that does not raise at k = 3 (10 nodes find a flow mod 3, then 13 the
     # flow itself)
     PINNED = {
-        "C4+K4": ((-1, 1, -1, 1, -2, 1, 1, 1, 1, -2), 23),
-        "K4+C4": ((-2, 1, 1, 1, 1, -2, -1, 1, -1, 1), 23),
+        "C4+K4": ((-1, 1, 1, -1, -2, 1, 1, 1, 1, -2), 23),
+        "K4+C4": ((-2, 1, 1, 1, 1, -2, -1, 1, 1, -1), 23),
     }
 
     @pytest.mark.parametrize("order", ["C4+K4", "K4+C4"])
@@ -508,13 +508,14 @@ class TestModThreeRelaxation:
 
 class TestVerifyFlow:
     def test_alternating_c4(self):
-        assert verify_flow(cycle(4), EdgeAssignment((1, -1, 1, -1), "flow"))
+        # cycle(4)'s edges: (0, 1), (0, 3), (1, 2), (2, 3)
+        assert verify_flow(cycle(4), EdgeAssignment((1, -1, -1, 1), "flow"))
 
     def test_all_ones_c4(self):
         assert not verify_flow(cycle(4), EdgeAssignment((1, 1, 1, 1), "flow"))
 
     def test_c6_twos(self):
-        assert verify_flow(cycle(6), EdgeAssignment((2, -2, 2, -2, 2, -2), "flow"))
+        assert verify_flow(cycle(6), EdgeAssignment((2, -2, -2, 2, -2, 2), "flow"))
 
     def test_zero_value_invalid(self):
         with pytest.raises(InvalidAssignmentError):
