@@ -14,7 +14,7 @@ from .errors import (
     ResourceCapError,
     SignRankError,
 )
-from .exact_linalg import adjacency_matrix, det, mat_vec, matrix_at_point, permanent, rank
+from .exact_linalg import adjacency_matrix, det, matrix_at_point, permanent, rank
 from .factors import (
     Factor,
     count_factors,

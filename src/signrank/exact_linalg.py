@@ -124,9 +124,3 @@ def permanent(m: Rows) -> int:
                     nxt[key] = nxt.get(key, 0) + value * x
         sums = {key ^ close: value for key, value in nxt.items() if key & close == close}
     return sums.get(0, 0)
-
-
-def mat_vec(m: Rows, vec: Sequence[int]) -> tuple[int, ...]:
-    if any(len(row) != len(vec) for row in m):
-        raise ValueError("vector length must equal column count")
-    return tuple(sum(x * y for x, y in zip(row, vec)) for row in m)

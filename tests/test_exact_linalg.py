@@ -8,7 +8,6 @@ from signrank.errors import InvalidAssignmentError
 from signrank.exact_linalg import (
     adjacency_matrix,
     det,
-    mat_vec,
     matrix_at_point,
     permanent,
     rank,
@@ -204,13 +203,3 @@ class TestRowsUnchanged:
                 for fn in (det, rank, permanent):
                     fn(m)
                     assert m == before
-
-
-class TestMatVec:
-    def test_basic(self):
-        m = [[1, 2], [3, 4]]
-        assert mat_vec(m, (1, 1)) == (3, 7)
-
-    def test_length_checked(self):
-        with pytest.raises(ValueError):
-            mat_vec([[1, 2]], (1,))

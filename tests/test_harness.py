@@ -13,7 +13,7 @@ from signrank.assignments import EdgeAssignment
 from signrank.errors import GraphParseError
 from signrank.exact_linalg import adjacency_matrix, det
 from signrank.graph_core import Graph, encode_graph6, parse_graph6
-from signrank import cli, factors, harness, weight_search, zero_sum_flow
+from signrank import cli, exact_linalg, factors, harness, weight_search, zero_sum_flow
 from signrank.harness import (
     Caps,
     RunConfig,
@@ -315,6 +315,57 @@ class TestFlowEliminations:
         records = {id(g): g for g, _ in searched}.values()
         assert sorted(g.edges for g in records) == sorted(g.edges for g in graphs)
         assert len({(id(g), k) for g, k in searched}) == len(searched)
+
+
+class TestOneCheckPerWitness:
+    """Each witness is checked once in a run: a sign by the scan's exact
+    rank, a weight by the weight search's one determinant (which verify t31
+    relies on), and a flow by verify_flow's vertex sums."""
+
+    @staticmethod
+    def graphs():
+        return [parse_graph6(encode_graph6(g)) for g in (
+            cycle(4), path(3), complete(5), petersen(), parse_graph6("FF~]o"))]
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        # det and rank both run _eliminate once
+        calls = []
+        original = exact_linalg._eliminate
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(exact_linalg, "_eliminate", counting)
+        return calls
+
+    def test_signfind_ranks_each_sign_once(self, eliminations):
+        records = parse_report(run(self.graphs(), RunConfig("signfind"))[0])[1]
+        attempts = sum(rec["sign"]["attempts"] for rec in records)
+        assert attempts > 0 and len(eliminations) == attempts
+
+    def test_t31_runs_the_weight_search_eliminations_only(self, eliminations):
+        run(self.graphs(), RunConfig("weightfind"))
+        searched = len(eliminations)
+        eliminations.clear()
+        run(self.graphs(), RunConfig("verify", theorem="t31"))
+        assert searched > 0 and len(eliminations) == searched
+
+    def test_flows_builds_no_matrix(self, monkeypatch):
+        built = []
+        original = exact_linalg.adjacency_matrix
+
+        def counting(g, w):
+            built.append(g)
+            return original(g, w)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("signrank") and getattr(module, "adjacency_matrix", None) is original:
+                monkeypatch.setattr(module, "adjacency_matrix", counting)
+        report, summary = run(self.graphs(), RunConfig("verify", theorem="flows"))
+        assert summary["pass"] == 5 and '"applicable":true' in report
+        assert built == []
 
 
 class TestDoubleCoverMatchings:
@@ -648,25 +699,28 @@ class TestReportDigests:
         assert json.loads(tampered.read_text()) == table
 
 
-# a 4-vertex graph whose edge-list order is not graph6 order
 class TestWitnessesSelfContained:
     @staticmethod
     def reverify(records):
+        # the blocks of an analyze record, or the check block of a verify
+        # t21, t31 or flows record
         for rec in records:
             g = parse_graph6(rec["g6"])
-            sign = rec["sign"]["witness"]
+            blocks = rec.get("check", rec)
+            sign = blocks.get("sign", {}).get("witness")
             if sign is not None:
                 assert det(adjacency_matrix(g, tuple(sign))) != 0
-            wit = rec["weight"]["witness"]
+            wit = blocks.get("weight", {}).get("witness")
             if wit is not None:
                 assert verify_weight(g, EdgeAssignment(tuple(wit))) == "singular"
-            flow = rec["flow"]["values"]
+            flow = blocks.get("flow", blocks).get("values")
             if flow is not None:
                 assert verify_flow(g, EdgeAssignment(tuple(flow), "flow"))
-            if rec["flow"]["basis"] == "no_flow_exists":
+                assert all(sum(row) == 0 for row in adjacency_matrix(g, tuple(flow)))
+            if blocks.get("flow", {}).get("basis") == "no_flow_exists":
                 # y[u] + y[v] is d on the named edge and 0 elsewhere, so
                 # every zero-sum flow vanishes on that edge
-                obs = rec["flow"]["obstruction"]
+                obs = blocks["flow"]["obstruction"]
                 assert obs["d"] != 0 and len(obs["y"]) == g.n
                 for i, (u, v) in enumerate(g.edges):
                     assert obs["y"][u] + obs["y"][v] == (obs["d"] if i == obs["edge"] else 0)
@@ -681,6 +735,19 @@ class TestWitnessesSelfContained:
         report, _ = run(graphs, RunConfig(command="analyze"))
         records = parse_report(report)[1]
         assert [parse_graph6(rec["g6"]) for rec in records] == graphs
+        self.reverify(records)
+
+    @pytest.mark.parametrize("theorem, witness", [
+        ("t21", lambda check: check["sign"]["witness"]),
+        ("t31", lambda check: check["weight"]["witness"]),
+        ("flows", lambda check: check.get("values")),
+    ], ids=["t21", "t31", "flows"])
+    def test_verify_records_reverify_on_le7(self, corpus_le7, theorem, witness):
+        # each check keeps its witness's proof on this side alone
+        report, summary = run(corpus_le7, RunConfig("verify", theorem=theorem))
+        records = parse_report(report)[1]
+        assert summary["pass"] == len(records) == len(corpus_le7)
+        assert sum(witness(rec["check"]) is not None for rec in records) > len(records) // 4
         self.reverify(records)
 
     def test_edge_list_out_of_graph6_order(self):

@@ -78,6 +78,16 @@ class TestFindFullrankSign:
         with pytest.raises(ResourceCapError, match="m <= 10"):
             find_fullrank_sign(complete(7), exhaustive_m_cap=10)
 
+    def test_scan_below_rank_n_raises(self, monkeypatch):
+        # the scan's exact rank is the witness's proof: a scan that ends
+        # below rank n on a graph with a factor is a fault, never an answer
+        def short(g, signs, goal, lowest=False):
+            return g.n - 1, (1,) * g.m, 1
+
+        monkeypatch.setattr(sign_search, "_scan", short)
+        with pytest.raises(AssertionError, match="no verified full-rank sign"):
+            find_fullrank_sign(cycle(4))
+
 
 class TestScanFallback:
     """The schedule's second phase, which no corpus graph reaches: with
@@ -125,6 +135,22 @@ class TestSwitching:
         reps = list(iter_sign_representatives(g))
         assert len(reps) == 2 ** (g.m - g.n + 1)
         assert all(len(r) == g.m for r in reps)
+
+    def test_representatives_in_free_edge_order(self):
+        # the nested construction: forest edges +1, the free edges written
+        # into a copy of that base, running over {+1,-1} with +1 first
+        rng = random.Random(68)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 7), rng.random())
+            forest = spanning_forest(g)
+            free = [i for i in range(g.m) if i not in forest]
+            expected = []
+            for combo in product((1, -1), repeat=len(free)):
+                vec = [1] * g.m
+                for pos, val in zip(free, combo):
+                    vec[pos] = val
+                expected.append(tuple(vec))
+            assert list(iter_sign_representatives(g)) == expected, g
 
     def test_forest_is_spanning(self):
         g = complete(5)

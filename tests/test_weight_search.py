@@ -3,12 +3,13 @@ from itertools import combinations, product
 
 import pytest
 
-from signrank import factors
+from signrank import factors, weight_search
 from signrank.assignments import EdgeAssignment
 from signrank.errors import InvalidAssignmentError
 from signrank.exact_linalg import adjacency_matrix, det, matrix_at_point
 from signrank.factors import count_factors, count_factors_at_most
 from signrank.graph_core import Graph, components, parse_graph6
+from signrank.harness import RunConfig, run
 from signrank.weight_search import find_singular_weight, verify_weight
 from signrank.zero_sum_flow import flow_obstruction
 
@@ -102,6 +103,26 @@ class TestWitnesses:
         a = find_singular_weight(g, seed=9)
         b = find_singular_weight(g, seed=9)
         assert a.witness == b.witness and a.route == b.route
+
+
+class TestWitnessCheck:
+    """The one determinant on every weight witness, which the verify t31
+    check relies on: a route that returns non-singular values is a fault,
+    raised before any record is written.  K4's all-ones matrix has det -3."""
+
+    @pytest.fixture
+    def all_ones_route(self, monkeypatch):
+        assert det(adjacency_matrix(complete(4), (1,) * 6)) == -3
+        monkeypatch.setattr(weight_search, "_singular_values",
+                            lambda g, rng, node_budget: ((1,) * 6, "flow"))
+
+    def test_search_raises(self, all_ones_route):
+        with pytest.raises(AssertionError, match="exact singularity check"):
+            find_singular_weight(complete(4))
+
+    def test_verify_t31_raises(self, all_ones_route):
+        with pytest.raises(AssertionError, match="exact singularity check"):
+            run([complete(4)], RunConfig("verify", theorem="t31"))
 
 
 class TestFactorTableUse:

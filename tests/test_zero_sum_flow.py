@@ -5,7 +5,7 @@ import pytest
 
 from signrank.assignments import EdgeAssignment
 from signrank.errors import InvalidAssignmentError, PreconditionError, ResourceCapError
-from signrank.exact_linalg import adjacency_matrix, mat_vec, rank
+from signrank.exact_linalg import adjacency_matrix, rank
 from signrank.graph_core import (
     Graph, components, induced_subgraph, is_bipartite, parse_graph6, spanning_forest)
 from signrank.zero_sum_flow import (
@@ -365,8 +365,7 @@ class TestSolver:
     def test_flow_puts_ones_vector_in_kernel(self):
         flow = find_zero_sum_flow(cycle(6), 3)
         assert flow is not None
-        kernel = mat_vec(adjacency_matrix(cycle(6), flow), (1,) * 6)
-        assert all(x == 0 for x in kernel)
+        assert all(sum(row) == 0 for row in adjacency_matrix(cycle(6), flow))
 
     def test_matches_exhaustive_oracle_k2(self, corpus_le5):
         for g in corpus_le5:
