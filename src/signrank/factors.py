@@ -7,12 +7,12 @@ and is traversed toward its smaller neighbor; the factor's cycle list and
 K2 list are index-sorted.
 
 One subset DP over vertex sets (_FactorTable), built once per graph and
-kept with it while the graph lives, answers every count and listing: t(g)
-and the nonzero-transversal count are two residues of one packed value,
-read without listing a factor, and iter_factors lists the factors (for
-listings and edge membership) by walking the same table, taking only
-steps that lead to a factor; enumerate_factors groups them by K2 edges,
-each group already in canonical order.
+kept with it while the graph lives, answers every count and the listing:
+t(g) and the nonzero-transversal count are two residues of one packed
+value, read without listing a factor, and iter_factors lists the factors by
+walking the same table, taking only steps that lead to a factor;
+enumerate_factors groups them by K2 edges, each group already in canonical
+order.
 
 The table's time and memory grow exponentially with n whatever is asked of
 it: O(2^n * n^2) steps over at most 2^n sets and n * 2^n open paths, one f
@@ -20,8 +20,9 @@ memo and one p memo per start vertex, and a recursion up to n + 1 calls
 deep (so no table has more than TABLE_N_LIMIT vertices): it is meant for
 n <= about 12, the harness's factor_n cap.  Past the table, a listing costs
 in proportion to what it lists; a full one checks t <= LISTING_CAP.
-perrank_fast, has_factor, matching_factor and count_factors_at_most up to
-limit 2 take polynomial time at any n, on one double-cover matching.
+perrank_fast, has_factor, matching_factor, factor_edges and
+count_factors_at_most up to limit 2 take polynomial time at any n, on one
+double-cover matching.
 
 Conventions: the empty graph on 0 vertices has exactly one (empty) factor;
 an edgeless graph on n >= 1 vertices has none.  perrank is the order of the
@@ -31,7 +32,6 @@ largest vertex subset whose induced subgraph has a spanning {1,2}-factor.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, NamedTuple
 
@@ -108,20 +108,13 @@ def enumerate_factors(g: Graph) -> list[Factor]:
     cycles before S being the same, these are the first cycles in which
     the two differ.
     """
-    _listable(g)
+    t = count_factors(g)
+    if t > LISTING_CAP:
+        raise ResourceCapError(f"t={t} factors exceed the listing cap {LISTING_CAP}")
     groups = defaultdict(list)      # K2 edges -> factors, in walk order
     for f in iter_factors(g):
         groups[f.k2_edges].append(f)
     return [f for k2s in sorted(groups) for f in groups[k2s]]
-
-
-def _listable(g: Graph) -> int:
-    """t(g); raises ResourceCapError if t > LISTING_CAP, before a full
-    listing starts."""
-    t = count_factors(g)
-    if t > LISTING_CAP:
-        raise ResourceCapError(f"t={t} factors exceed the listing cap {LISTING_CAP}")
-    return t
 
 
 def count_factors(g: Graph) -> int:
@@ -135,40 +128,18 @@ def count_factors_at_most(g: Graph, limit: int) -> int:
     """min(t(g), limit); for limit <= 2 with no table, in O(n + m) after
     the double-cover matching sigma.  With sigma not perfect, t = 0; else
     its cycles form a factor F, and t >= 2 iff F has an even cycle (two K2
-    sets; K2s cannot cover an odd cycle) or some factor has an edge uv
-    outside F.  Oriented so that u -> v, that factor is a perfect matching
-    with the arc u -> v': one is iff the arc v -> sigma(u) lies on a cycle
-    of the digraph D: w -> sigma(x), x in N(w), sigma(x) != w (the cycle
-    alternates with sigma).  D's arcs inside F, w -> sigma^2(w), make each
-    odd cycle of F strongly connected, so this holds for some uv iff D with
-    those cycles contracted has a cycle: iff peeling the nodes that no arc
-    enters leaves some node."""
+    sets; K2s cannot cover an odd cycle) or some edge outside F lies in a
+    factor (factor_edges)."""
     if limit > 2:
         return min(count_factors(g), limit)
     f = matching_factor(g)
     if f is None:
         return min(0, limit)
-    if any(len(c) % 2 == 0 for c in f.cycles):
-        return min(2, limit)
-    sigma, edges = vars(g)["_sigma"], g.edges
-    node = list(range(g.n))         # vertex -> least vertex of its F cycle
-    for c in f.cycles:
-        for i in c:
-            node[edges[i][0]] = node[edges[i][1]] = edges[c[0]][0]
-    succ = [[] for _ in node]
-    into = [0] * g.n
-    for w, adj in enumerate(g._adjacency):
-        for x in adj:
-            if sigma[x] != w and sigma[w] != x:     # wx is outside F
-                succ[node[w]].append(node[sigma[x]])
-                into[node[sigma[x]]] += 1
-    free = [v for v in range(g.n) if node[v] == v and not into[v]]
-    for v in free:
-        for w in succ[v]:
-            into[w] -= 1
-            if not into[w]:
-                free.append(w)
-    return min(1 + (len(free) < len(set(node))), limit)
+    sigma = _sigma(g)
+    second = any(len(c) % 2 == 0 for c in f.cycles) or any(
+        present and sigma[u] != v and sigma[v] != u
+        for present, (u, v) in zip(factor_edges(g), g.edges))
+    return min(1 + second, limit)
 
 
 def matching_factor(g: Graph) -> Factor | None:
@@ -178,7 +149,7 @@ def matching_factor(g: Graph) -> Factor | None:
     each from it toward its smaller neighbor, and K2s by index."""
     if not has_factor(g):
         return None
-    sigma = vars(g)["_sigma"]
+    sigma = _sigma(g)
     index = {e: i for i, e in enumerate(g.edges)}
     k2s, cycles, seen = [], [], set()
     for v in range(g.n):
@@ -196,6 +167,66 @@ def matching_factor(g: Graph) -> Factor | None:
         else:
             cycles.append(edges)
     return Factor(tuple(k2s), tuple(cycles))
+
+
+def factor_edges(g: Graph) -> tuple[bool, ...]:
+    """Per edge, whether some {1,2}-factor contains it (all False when g
+    has none), in O(n + m) after the double-cover matching sigma.  A factor
+    gives a perfect matching of the double cover for each orientation of
+    its cycles, so the edge uv lies in one iff the arc u -> v' lies in a
+    perfect matching.  With sigma perfect, that is iff the arc lies on a
+    cycle that alternates with sigma: iff u and back(v), the vertex matched
+    to v', share a strong component of the digraph D: w -> back(x), x in
+    N(w), x != sigma(w).  (For an arc of sigma, back(v) = u.)"""
+    sigma = _sigma(g)
+    if -1 in sigma:
+        return (False,) * g.m
+    back = [0] * g.n
+    for w, x in enumerate(sigma):
+        back[x] = w
+    comp = _strong_components(
+        [[back[x] for x in adj if x != sigma[w]] for w, adj in enumerate(g._adjacency)])
+    return tuple(comp[u] == comp[back[v]] for u, v in g.edges)
+
+
+def _strong_components(succ: list[list[int]]) -> list[int]:
+    """Per node of the digraph succ, a label shared exactly by the nodes
+    of its strong component: Tarjan's algorithm, on an explicit stack of
+    (node, its unvisited successors), so it never recurses."""
+    order = [-1] * len(succ)        # visit number, -1 before the visit
+    low = [0] * len(succ)
+    comp = [-1] * len(succ)         # -1 while on the component stack
+    stack: list[int] = []
+    count = 0
+    for root in range(len(succ)):
+        if order[root] != -1:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, todo = path[-1]
+            for w in todo:
+                if order[w] == -1:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    path.append((w, iter(succ[w])))
+                    break
+                if comp[w] == -1:
+                    low[v] = min(low[v], order[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        comp[w] = v
+    return comp
 
 
 def has_factor(g: Graph) -> bool:
@@ -385,12 +416,17 @@ def perrank_fast(g: Graph) -> int:
     """perrank: the size of a maximum matching of the bipartite double cover
     (edges u1-v2 and v1-u2 for each edge uv), which is the most vertices
     disjoint K2s and cycles can cover.  The tests check this identity
-    against the subset DP on induced subgraphs up to n = 12.  The matching
-    is kept with the graph as "_sigma", so every caller on it shares one."""
-    cache = vars(g)
-    if "_sigma" not in cache:
-        cache["_sigma"] = _double_cover_matching(g)
-    return g.n - cache["_sigma"].count(-1)
+    against the subset DP on induced subgraphs up to n = 12."""
+    return g.n - _sigma(g).count(-1)
+
+
+def _sigma(g: Graph) -> list[int]:
+    """The graph's double-cover matching, found on first use and kept in
+    its instance dict, so every caller on one graph shares one."""
+    sigma = vars(g).get("_sigma")
+    if sigma is None:
+        sigma = vars(g)["_sigma"] = _double_cover_matching(g)
+    return sigma
 
 
 def _double_cover_matching(g: Graph) -> list[int]:
@@ -420,37 +456,3 @@ def _double_cover_matching(g: Graph) -> list[int]:
             u = via[free]
             match_right[free], match_left[u], free = u, free, match_left[u]
     return match_left
-
-
-@dataclass(frozen=True)
-class EdgeMembership:
-    """Per-edge membership across all factors: whether the edge is ever a K2
-    component, ever on a cycle, and present in every factor.  With no
-    factors all flags are false."""
-
-    in_k2: tuple[bool, ...]
-    in_cycle: tuple[bool, ...]
-    in_all: tuple[bool, ...]
-
-    def present(self, i: int) -> bool:
-        return self.in_k2[i] or self.in_cycle[i]
-
-
-def edge_membership(g: Graph) -> EdgeMembership:
-    """Read from the full factor listing; raises ResourceCapError, before
-    listing any factor, if t > LISTING_CAP."""
-    t = _listable(g)
-    m = g.m
-    in_k2 = [False] * m
-    in_cycle = [False] * m
-    presence = [0] * m
-    for f in iter_factors(g):
-        for i in f.k2_edges:
-            in_k2[i] = True
-            presence[i] += 1
-        for cyc in f.cycles:
-            for i in cyc:
-                in_cycle[i] = True
-                presence[i] += 1
-    in_all = [t > 0 and presence[i] == t for i in range(m)]
-    return EdgeMembership(tuple(in_k2), tuple(in_cycle), tuple(in_all))

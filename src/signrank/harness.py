@@ -319,7 +319,10 @@ _COMMANDS: dict[str, Callable[[Graph, int, RunConfig], dict]] = {
 }
 
 # commands, and verify tags, whose records are skipped for graphs above the
-# factor_n cap
+# factor_n cap.  analyze, factors, t21, t31 and r11 read t or the listing off
+# the factor table.  weightfind and r32 build none; they stay capped as every
+# witness they return is re-checked by an exact n x n determinant, in time
+# about n^3 (test_factor_cap_keeps_dense_determinants_off)
 _FACTOR_CAPPED = frozenset(("analyze", "factors", "weightfind", "t21", "t31", "r11", "r32"))
 
 

@@ -2,8 +2,8 @@
 matrix singular, and impossibility certificates when there are none.
 
 A singular weighting exists iff the graph has at least two {1,2}-factors;
-which of t = 0, 1 or >= 2 holds is read off the double-cover matching, so
-only the algebraic route below builds a factor table:
+which of t = 0, 1 or >= 2 holds, and which factors use which edges, is read
+off the double-cover matching, so no route builds a factor table:
 
 * t = 0: the determinant polynomial is identically zero, so every weighting
   is singular.  Reported as a witness with an explanatory flag rather than
@@ -18,11 +18,10 @@ only the algebraic route below builds a factor table:
                climb that runs out of nodes passes on to the next route;
     algebraic  split into components, drop every edge that lies in no
                factor (it does not occur in the determinant polynomial f),
-               then for an edge i on a cycle of every factor, f = x_i * h:
-               solve h = 0 for a cycle edge j that is never a K2 (h is
-               linear in x_j) at random integer points, and scale the
-               rational root to integers using homogeneity
-               (f(d*a) = d^n f(a)).
+               then for an edge j that is never a K2 and lies outside some
+               factor, f = x_j * a + b with a and b nonzero: solve it for
+               x_j at random integer points, and scale the rational root
+               to integers using homogeneity (f(d*a) = d^n f(a)).
 
 The t = 0 witness keeps the route label "exhaustive" (every weighting is a
 witness).  Every witness is re-verified by an exact determinant before it
@@ -39,7 +38,7 @@ from math import gcd
 from .assignments import EdgeAssignment
 from .errors import ResourceCapError
 from .exact_linalg import adjacency_matrix, det, matrix_at_point
-from .factors import Factor, count_factors_at_most, edge_membership, iter_factors, matching_factor
+from .factors import Factor, count_factors_at_most, factor_edges, has_factor, matching_factor
 from .graph_core import Graph, components, delete_edges, induced_subgraph
 from .zero_sum_flow import DEFAULT_FLOW_NODES, flow_bound, least_bound_flow
 
@@ -148,33 +147,13 @@ def _singular_values(
     # edge at its vertices lies in no factor, so after the drop it is a
     # component of its own and the component split reaches the same
     # subproblem (G - u - v, or G minus the cycle).
-    prof = edge_membership(g)
-    unused = [i for i in range(g.m) if not prof.present(i)]
+    unused = [i for i, present in enumerate(factor_edges(g)) if not present]
     if unused:
         sub, emap = delete_edges(g, unused)
         rec, _ = _singular_values(sub, rng, node_budget)
         return (None, None) if rec is None else (_lift(g.m, emap, rec), "algebraic")
-
-    # Edge i below exists whenever g has no zero-sum flow.  Each factor F
-    # gives x_F (2 on its K2 edges, 1 on its cycle edges) with
-    # B x_F = 2 * (1, ..., 1) for the vertex-edge incidence matrix B, so
-    # x_F - x_F' is a zero-sum flow where it is nonzero.  Were every edge
-    # to take two values across the factors, a generic combination of
-    # these would be a nowhere-zero flow.  So some edge has the same x_F in
-    # every factor: not 0 (dropped above) and not 2 (a K2 in every factor
-    # is a component with one factor, never recursed into), hence it lies
-    # on a cycle in every factor.  Then f = x_i * h, and h is linear in any
-    # cycle edge j that is never a K2.
-    first = next(iter_factors(g))
-    for i in range(g.m):
-        if prof.in_all[i] and not prof.in_k2[i]:
-            cyc = next(c for c in first.cycles if i in c)
-            for j in cyc:
-                if j != i and not prof.in_all[j] and not prof.in_k2[j]:
-                    sol = _hunt_linear_part_root(g, i, j, rng)
-                    if sol is not None:
-                        return sol, "algebraic"
-    return None, None
+    sol = _hunt_linear_root(g, rng)
+    return (None, None) if sol is None else (sol, "algebraic")
 
 
 def _lift(m: int, emap: tuple[int, ...], rec: tuple[int, ...]) -> tuple[int, ...]:
@@ -197,24 +176,31 @@ def _root_point(pt: list[int], j: int, c1: int, c0: int) -> tuple[int, ...] | No
     return tuple(out)
 
 
-def _hunt_linear_part_root(
-    g: Graph, i: int, j: int, rng: random.Random
-) -> tuple[int, ...] | None:
-    """For f = x_i * h (edge i on a cycle of every factor, never a K2),
-    solve h = 0 for edge j, which is never a K2, so h is linear in x_j.
-    h does not involve x_i, so it is f with x_i = 1.  Its root is exact, so
-    f vanishes there; find_singular_weight re-checks the witness."""
-    for _ in range(ROOT_TRIALS):
-        pt = [rng.choice((1, -1)) * rng.randint(1, TRIAL_MAGNITUDE) for _ in range(g.m)]
-        pt[i] = 1
+def _hunt_linear_root(g: Graph, rng: random.Random) -> tuple[int, ...] | None:
+    """A root of f at a random integer point, solved for the first edge j
+    that has one.  Every edge of g lies in some factor; when j = uv is also
+    never a K2 (G - u - v has no factor) and lies outside some factor (it
+    is not in the matching factor F, or G - j has a factor), f = x_j * a + b
+    with a and b nonzero, so x_j = -b/a at a point where both are nonzero.
+    The root is exact, so f vanishes there; find_singular_weight re-checks
+    the witness.  None, with no determinant taken, when no edge qualifies."""
+    factor = matching_factor(g)
+    in_factor = set(factor.k2_edges).union(*factor.cycles)
+    for j, (u, v) in enumerate(g.edges):
+        if j in in_factor and not has_factor(delete_edges(g, (j,))[0]):
+            continue        # in every factor
+        if has_factor(induced_subgraph(g, set(range(g.n)) - {u, v})[0]):
+            continue        # a K2 of some factor
+        for _ in range(ROOT_TRIALS):
+            pt = [rng.choice((1, -1)) * rng.randint(1, TRIAL_MAGNITUDE) for _ in range(g.m)]
 
-        def h_with(x: int) -> int:
-            q = list(pt)
-            q[j] = x
-            return det(matrix_at_point(g, q))
+            def f_with(x: int) -> int:
+                q = list(pt)
+                q[j] = x
+                return det(matrix_at_point(g, q))
 
-        c0 = h_with(0)
-        out = _root_point(pt, j, h_with(1) - c0, c0)
-        if out is not None and all(out):
-            return out
+            c0 = f_with(0)
+            out = _root_point(pt, j, f_with(1) - c0, c0)
+            if out is not None:
+                return out
     return None

@@ -3,12 +3,13 @@ against.  None of them has a caller in the package itself."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
 
 from signrank.assignments import EdgeAssignment
 from signrank.errors import PreconditionError
-from signrank.factors import _table, iter_factors
+from signrank.factors import _table, count_factors, iter_factors
 from signrank.graph_core import Graph, components, delete_edges, induced_subgraph, is_bipartite
 from signrank.zero_sum_flow import _search
 
@@ -164,3 +165,37 @@ def mod3_flow(g: Graph) -> tuple[int, ...] | None:
             return tuple(sum(a * vec[e] for a, vec in zip(coeffs, basis)) % 3
                          for e in range(g.m))
     return None
+
+
+@dataclass(frozen=True)
+class EdgeMembership:
+    """Per-edge membership across all factors: whether the edge is ever a K2
+    component, ever on a cycle, and present in every factor.  With no
+    factors all flags are false."""
+
+    in_k2: tuple[bool, ...]
+    in_cycle: tuple[bool, ...]
+    in_all: tuple[bool, ...]
+
+    def present(self, i: int) -> bool:
+        return self.in_k2[i] or self.in_cycle[i]
+
+
+def edge_membership(g: Graph) -> EdgeMembership:
+    """Edge membership read from the full factor listing: the reference
+    for factors.factor_edges and for the weight search's root hunt.
+    Intended for small t."""
+    t = count_factors(g)
+    in_k2 = [False] * g.m
+    in_cycle = [False] * g.m
+    presence = [0] * g.m
+    for f in iter_factors(g):
+        for i in f.k2_edges:
+            in_k2[i] = True
+            presence[i] += 1
+        for cyc in f.cycles:
+            for i in cyc:
+                in_cycle[i] = True
+                presence[i] += 1
+    in_all = [t > 0 and count == t for count in presence]
+    return EdgeMembership(tuple(in_k2), tuple(in_cycle), tuple(in_all))

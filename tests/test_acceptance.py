@@ -14,7 +14,6 @@ from signrank.exact_linalg import adjacency_matrix, det, permanent
 from signrank.factors import (
     count_factors,
     count_nonzero_transversals,
-    edge_membership,
     has_factor,
     perrank_fast,
 )
@@ -29,6 +28,7 @@ from signrank.weight_search import find_singular_weight, verify_weight
 from signrank.zero_sum_flow import verify_flow
 
 from oracles import (
+    edge_membership,
     expansion_at,
     factor_expansion,
     find_zero_sum_flow,

@@ -6,12 +6,12 @@ import random
 import re
 
 from signrank.exact_linalg import adjacency_matrix, det, matrix_at_point
-from signrank.factors import count_factors, count_factors_at_most, edge_membership
+from signrank.factors import count_factors, count_factors_at_most
 from signrank.graph_core import Graph
 from signrank.weight_search import find_singular_weight
 
 from conftest import complete, cycle, path
-from oracles import expansion_at, factor_expansion
+from oracles import edge_membership, expansion_at, factor_expansion
 
 
 def split(terms: dict, i: int) -> tuple[dict, dict, dict]:

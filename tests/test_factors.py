@@ -15,8 +15,8 @@ from signrank.factors import (
     count_factors,
     count_factors_at_most,
     count_nonzero_transversals,
-    edge_membership,
     enumerate_factors,
+    factor_edges,
     has_factor,
     iter_factors,
     matching_factor,
@@ -25,7 +25,7 @@ from signrank.factors import (
 from signrank.graph_core import Graph, induced_subgraph
 
 from conftest import complete, cycle, grid, path, petersen, star
-from oracles import perrank_bruteforce
+from oracles import edge_membership, perrank_bruteforce
 
 
 def edge_set(f: Factor) -> frozenset[int]:
@@ -351,15 +351,18 @@ class TestListingWalk:
 
 
 class TestMatchingTClass:
-    """count_factors_at_most up to 2, and the factor of the double-cover
-    matching, read without a factor table."""
+    """count_factors_at_most up to 2, the factor of the double-cover
+    matching and the edges that some factor uses (factor_edges, against the
+    full listing in tests/oracles.py), read without a factor table."""
 
     @staticmethod
     def check(g: Graph) -> None:
         t = count_factors(Graph(g.n, g.edges))
+        prof = edge_membership(g)
         fresh = Graph(g.n, g.edges)
         for limit in (0, 1, 2):
             assert count_factors_at_most(fresh, limit) == min(t, limit)
+        assert factor_edges(fresh) == tuple(prof.present(i) for i in range(g.m))
         f = matching_factor(fresh)
         assert "_factor_table" not in vars(fresh)
         assert (f is None) == (t == 0)
@@ -392,6 +395,12 @@ class TestMatchingTClass:
         assert count_factors_at_most(cycle(5000), 2) == 2
         assert count_factors_at_most(grid(2, 2000), 2) == 2
         assert count_factors_at_most(path(5001), 2) == 0
+        # the strong components of factor_edges take no recursion either:
+        # the odd cycle's one digraph cycle is 5001 nodes long, and every
+        # edge of the ladder lies in some factor
+        assert factor_edges(cycle(5001)) == (True,) * 5001
+        assert factor_edges(grid(2, 2000)) == (True,) * grid(2, 2000).m
+        assert factor_edges(path(5001)) == (False,) * 5000
 
 
 class TestCanonicalListing:

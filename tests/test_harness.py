@@ -450,19 +450,23 @@ class TestSkipRecords:
         corpus.write_text(encode_graph6(complete(11)) + "\n")
         assert cli.main(["factors", str(corpus)]) == 3
 
-    def test_edge_membership_above_the_cap(self, monkeypatch):
-        # with no flow nodes the weight search reads edge membership from
-        # the full listing; on K11 the count refuses it before any factor
-        def no_listing(g):
-            raise AssertionError("listed factors above the cap")
+    def test_k11_without_flow_nodes_is_partial(self, monkeypatch):
+        # with no flow nodes the weight search goes on to the algebraic
+        # route, which reads edge membership off the double-cover matching,
+        # not the factor table (t(K11) = 5,238,370).  Every edge of K11 is a
+        # K2 of some factor, so no edge leaves a linear root to hunt: the
+        # weight block is inconclusive and the record counts as partial
+        def no_table(g):
+            raise AssertionError("built a factor table")
 
-        monkeypatch.setattr(factors, "iter_factors", no_listing)
+        monkeypatch.setattr(factors, "_FactorTable", no_table)
         report, summary = run([complete(11)],
                               RunConfig(command="weightfind", caps=Caps(flow_nodes=0)))
         _, (rec,), _ = parse_report(report)
-        assert rec["status"] == "skip" and "weight" not in rec
-        assert rec["reason"] == f"t=5238370 factors exceed the listing cap {factors.LISTING_CAP}"
-        assert summary["skip"] == 1
+        assert rec["status"] == "ok"
+        assert rec["weight"]["witness"] is None and rec["weight"]["route"] is None
+        assert rec["weight"]["certificate_impossible"] is None
+        assert summary["partial"] == 1 and exit_code(summary) == 3
 
     @pytest.mark.parametrize("command, theorem", [("weightfind", None), ("verify", "r32")])
     def test_factor_cap_keeps_dense_determinants_off(self, command, theorem, monkeypatch):
@@ -883,6 +887,18 @@ class TestCli:
         assert summary == {"records": 1253, "pass": 0, "fail": 0, "skip": 0, "partial": 0}
         assert len(records) == 1253
         assert report_digests.digest(res.stdout) == DIGESTS["graphs_le7.g6"]["analyze"]["sha256"]
+
+    def test_analyze_weight_past_a_spent_flow_climb(self):
+        # at flow_nodes=80 the weight search's climb runs out on FF~]o
+        # (t = 35) before it finds a flow; the algebraic route answers, so
+        # the record is whole and the exit code 0
+        res = run_cli(["analyze", "-", "--caps", "flow_nodes=80"], stdin="FF~]o\n")
+        assert res.returncode == 0, res.stderr
+        _, (rec,), summary = parse_report(res.stdout)
+        assert rec["status"] == "ok" and rec["weight"]["route"] == "algebraic"
+        witness = EdgeAssignment(tuple(rec["weight"]["witness"]), "weight")
+        assert verify_weight(parse_graph6("FF~]o"), witness) == "singular"
+        assert summary["partial"] == 0
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "report.jsonl"

@@ -14,7 +14,7 @@ from signrank.weight_search import find_singular_weight, verify_weight
 from signrank.zero_sum_flow import flow_obstruction
 
 from conftest import chain_of_4_cycles, complete, cycle, grid, path, star
-from oracles import flow_exists_nonbipartite_test
+from oracles import edge_membership, flow_exists_nonbipartite_test
 
 
 class TestVerifyWeight:
@@ -126,26 +126,29 @@ class TestWitnessCheck:
 
 
 class TestFactorTableUse:
-    """t = 0, 1 and >= 2 are told apart by the double-cover matching: only
-    the algebraic route builds a factor table."""
+    """t = 0, 1 and >= 2, and the edges that some factor uses, are read off
+    the double-cover matching: no route builds a factor table."""
 
-    def test_table_only_on_the_algebraic_route(self, monkeypatch, corpus_le7):
-        built = []
+    def test_no_route_builds_a_table(self, monkeypatch, corpus_le7, corpus_bipartite_2ec_n8):
+        def no_table(g):
+            raise AssertionError("built a factor table")
 
-        class CountingTable(factors._FactorTable):
-            def __init__(self, g):
-                built.append(g)
-                super().__init__(g)
+        monkeypatch.setattr(factors, "_FactorTable", no_table)
+        routes = set()
+        for g in corpus_le7 + corpus_bipartite_2ec_n8:
+            for budget in (weight_search.DEFAULT_FLOW_NODES, 0):
+                routes.add(find_singular_weight(Graph(g.n, g.edges), node_budget=budget).route)
+        assert routes == {"flow", "algebraic", "exhaustive", None}
+        # grid(10, 10) has t >= 2 and, with no flow nodes, reaches the
+        # algebraic route: it finds every edge a K2 of some factor, so it
+        # is inconclusive with no determinant taken (a table on 100
+        # vertices would not fit in memory)
+        def no_det(matrix):
+            raise AssertionError("took a determinant")
 
-        monkeypatch.setattr(factors, "_FactorTable", CountingTable)
-        with_table = 0
-        for g in corpus_le7:
-            built.clear()
-            out = find_singular_weight(Graph(g.n, g.edges))
-            if out.route != "algebraic":
-                assert built == [], g
-            with_table += bool(built)
-        assert with_table > 0
+        monkeypatch.setattr(weight_search, "det", no_det)
+        out = find_singular_weight(grid(10, 10), node_budget=0)
+        assert out == weight_search.WeightSearchOutcome(None, None, None)
 
     @pytest.mark.parametrize("make, route", [
         (lambda: grid(2, 50), "flow"),
@@ -173,13 +176,20 @@ class TestRootHunts:
     """The rational-root helpers directly."""
 
     def test_linear_part_solver(self):
-        from signrank.weight_search import _hunt_linear_part_root
+        from signrank.weight_search import _hunt_linear_root
 
-        g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)))
-        # edge (0,1) lies on a cycle of every factor; solve its linear part
-        # through the cycle edge (2,3)
-        out = _hunt_linear_part_root(g, 0, 2, random.Random(3))
+        g = Graph(5, ((0, 1), (0, 2), (0, 4), (1, 2), (2, 3), (3, 4)))
+        # the factors are the 5-cycle and the triangle 0-1-2 with the K2
+        # 3-4.  (0, 1) and (1, 2) are in both and (3, 4) is a K2 of the
+        # second, so f is linear in the chord (0, 2), in (0, 4) and in
+        # (2, 3): f = x_j * a + b, each edge being in one factor only
+        prof = edge_membership(g)
+        linear = [j for j in range(g.m) if not prof.in_k2[j] and not prof.in_all[j]]
+        assert linear == [1, 2, 4]
+        out = _hunt_linear_root(g, random.Random(3))
         assert out is not None and det(matrix_at_point(g, out)) == 0
+        # on C5 alone every edge is in the one factor: nothing to hunt
+        assert _hunt_linear_root(cycle(5), random.Random(3)) is None
 
     def test_rational_root_solver_cases(self):
         from signrank.weight_search import _root_point
