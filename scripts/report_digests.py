@@ -23,6 +23,14 @@ without touching the file:
 (corpus, variant) pair whose digest or exit code differs from the file, and
 exits 1 if any does, 0 otherwise.
 
+`--jobs N` runs every report through a pool of N worker processes (the
+CLI's `--jobs`), so that
+
+    python3 scripts/report_digests.py --check --jobs 2
+
+checks the pool path's bytes, over both corpora for every variant, against
+the digests pinned from one process.
+
 Standard library only.
 """
 
@@ -57,10 +65,10 @@ def digest(report: str) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def entry(corpus: str, variant: str) -> dict:
+def entry(corpus: str, variant: str, jobs: int = 1) -> dict:
     command, _, theorem = variant.partition(" ")
     graphs = load_corpus((DATA_DIR / corpus).read_text(), "graph6")
-    report, summary = run(graphs, RunConfig(command=command, theorem=theorem or None))
+    report, summary = run(graphs, RunConfig(command=command, theorem=theorem or None, jobs=jobs))
     return {"sha256": digest(report), "exit": exit_code(summary)}
 
 
@@ -68,18 +76,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="compare with the digest file instead of writing it")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes per report (default 1)")
     args = parser.parse_args(argv)
     if args.check:
         pinned = json.loads(DIGEST_FILE.read_text())
         differing = [(corpus, variant) for corpus, variant in cases()
-                     if pinned.get(corpus, {}).get(variant) != entry(corpus, variant)]
+                     if pinned.get(corpus, {}).get(variant) != entry(corpus, variant, args.jobs)]
         for corpus, variant in differing:
             print(f"differs: {corpus} {variant}")
         print(f"{len(cases()) - len(differing)} of {len(cases())} digests match")
         return 1 if differing else 0
     table: dict[str, dict] = {}
     for corpus, variant in cases():
-        table.setdefault(corpus, {})[variant] = entry(corpus, variant)
+        table.setdefault(corpus, {})[variant] = entry(corpus, variant, args.jobs)
     DIGEST_FILE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(cases())} digests to {DIGEST_FILE.relative_to(ROOT)}")
     return 0

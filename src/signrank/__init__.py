@@ -19,7 +19,6 @@ from .factors import (
     Factor,
     count_factors,
     count_nonzero_transversals,
-    enumerate_factors,
     has_factor,
     perrank_fast,
 )

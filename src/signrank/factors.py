@@ -1,4 +1,4 @@
-"""{1,2}-factors: enumeration, counting, and the invariants built on them.
+"""{1,2}-factors: listing, counting, and the invariants built on them.
 
 A {1,2}-factor is a spanning subgraph that is a disjoint union of single
 edges (K2 components) and cycles of length >= 3.  Each factor is produced
@@ -9,10 +9,12 @@ K2 list are index-sorted.
 One subset DP over vertex sets (_FactorTable), built once per graph and
 kept with it while the graph lives, answers every count and the listing:
 t(g) and the nonzero-transversal count are two residues of one packed
-value, read without listing a factor, and iter_factors lists the factors by
-walking the same table, taking only steps that lead to a factor;
-enumerate_factors groups them by K2 edges, each group already in canonical
-order.
+value, read without listing a factor, and listing_json lists the factors
+by walking the same table, taking only steps that lead to a factor, and
+grouping them by K2 edges, each group already in canonical order.  It
+writes them as the JSON text of a factors record's listing, each cycle's
+text built once, when the table first finds the choice that takes it:
+this module alone knows a factor's JSON shape.
 
 The table's time and memory grow exponentially with n whatever is asked of
 it: O(2^n * n^2) steps over at most 2^n sets and n * 2^n open paths, one f
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from math import factorial
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import ResourceCapError
 from .graph_core import Graph
@@ -50,71 +52,50 @@ class Factor(NamedTuple):
     cycles: tuple[tuple[int, ...], ...]
 
 
-def iter_factors(g: Graph) -> Iterator[Factor]:
-    """Generate every spanning {1,2}-factor exactly once, by walking the
-    subset DP of _FactorTable.
+def listing_json(g: Graph) -> tuple[int, str]:
+    """t(g) and every {1,2}-factor as JSON text: the comma-separated objects
+    {"cycles":[[...],...],"k2":[...]} of a factors record's listing, keys
+    sorted and no whitespace, in canonical order.  Raises ResourceCapError,
+    before listing any factor, if t > LISTING_CAP.
 
-    At the set S of uncovered vertices, its least vertex v is covered first
-    by a K2 with each neighbor u in S (in vertex order), then by each cycle
-    through v in lexicographic order of its vertex sequence; a choice is
-    taken only when the vertices it leaves still have a factor, so every
-    step leads to output.  The order is that of a backtracking search over
-    the lowest uncovered vertex, whose rise puts the K2 edges in index order.
-
-    Before the first factor the walk fills the table: f over every set it
-    can reach and p over every open path on the way (the cost the module
-    docstring gives), so even next(iter_factors(g)) costs exponential
-    time and memory in n.  After that the work is in proportion to what
-    is listed: the choices at each set S it enters, listed once per graph
-    and kept in its table (a caller that stops early has still paid for
-    every choice at the sets on its way), and a step per choice taken,
-    each stack level carrying its prefixes.
-    """
-    n = g.n
-    if n == 0:
-        yield Factor((), ())
-        return
-    table = _table(g)
-    full = (1 << n) - 1
-    if not table.f(full):
-        return
-    choices = table.choices
-    # each level: the K2 edges and cycles taken above it, and its choices
-    stack = [((), (), iter(choices(full)))]
-    while stack:
-        k2s, cycles, todo = stack[-1]
-        for k2, cycle, left in todo:
-            k2_edges = k2s + k2
-            cycle_edges = cycles + cycle
-            if left:
-                stack.append((k2_edges, cycle_edges, iter(choices(left))))
-                break
-            yield Factor(k2_edges, cycle_edges)
-        else:
-            stack.pop()
-
-
-def enumerate_factors(g: Graph) -> list[Factor]:
-    """All {1,2}-factors, canonically sorted; raises ResourceCapError, before
-    listing any factor, if t > LISTING_CAP.
-
-    The factors of iter_factors, grouped by K2 edge tuple, need only their
-    group keys sorted.  Two factors with the same K2 edges first part at a
-    set S whose least vertex v both cover by a cycle (a K2 at v would be
-    the same edge), taken in lexicographic order of vertex sequence.  As
-    g.edges is sorted, that is the order of their edge tuples: after a common
-    vertex a, a step to b < c takes the edge {a, b} < {a, c}, and closing
-    takes {a, v}, below every other edge at a as v is least in S.  The
-    cycles before S being the same, these are the first cycles in which
-    the two differ.
+    The walk starts at the full vertex set.  At the set S of uncovered
+    vertices it takes each choice of _FactorTable.choices(S) in turn, so
+    every step leads to a factor, and lists a factor when no vertex is
+    left.  Each level of its stack carries the K2 edges taken above it (the
+    factor's group key) and the text of its cycles.  The order is that of
+    a backtracking search over the lowest uncovered vertex, whose rise puts
+    the K2 edges in index order.  Grouped by K2 edge tuple, the factors
+    need only their group keys sorted.  Two factors with the same K2 edges
+    first part at a set S whose least vertex v both cover by a cycle (a K2
+    at v would be the same edge), taken in lexicographic order of vertex
+    sequence.  As g.edges is sorted, that is the order of their edge
+    tuples: after a common vertex a, a step to b < c takes the edge
+    {a, b} < {a, c}, and closing takes {a, v}, below every other edge at a
+    as v is least in S.  The cycles before S being the same, these are the
+    first cycles in which the two differ.
     """
     t = count_factors(g)
     if t > LISTING_CAP:
         raise ResourceCapError(f"t={t} factors exceed the listing cap {LISTING_CAP}")
-    groups = defaultdict(list)      # K2 edges -> factors, in walk order
-    for f in iter_factors(g):
-        groups[f.k2_edges].append(f)
-    return [f for k2s in sorted(groups) for f in groups[k2s]]
+    choices = _table(g).choices
+    groups = defaultdict(list)      # K2 edges -> its factors' cycle texts, in walk order
+    # the root level's one choice takes nothing and leaves every vertex, so
+    # the 0-vertex graph lists its one empty factor
+    stack = [((), "", iter((((), "", (1 << g.n) - 1),)))]
+    while stack:
+        k2s, cycles, todo = stack[-1]
+        for k2, cycle, left in todo:
+            if left:
+                stack.append((k2s + k2, cycles + cycle, iter(choices(left))))
+                break
+            groups[k2s + k2].append((cycles + cycle)[1:])
+        else:
+            stack.pop()
+    text = []
+    for k2s in sorted(groups):
+        tail = '],"k2":[' + ",".join(map(str, k2s)) + "]}"
+        text.append('{"cycles":[' + (tail + ',{"cycles":[').join(groups[k2s]) + tail)
+    return t, ",".join(text)
 
 
 def count_factors(g: Graph) -> int:
@@ -145,8 +126,8 @@ def count_factors_at_most(g: Graph, limit: int) -> int:
 def matching_factor(g: Graph) -> Factor | None:
     """The factor formed by the cycles of the double-cover matching sigma,
     in canonical form, or None when g has none.  When t = 1 it is the
-    one factor, equal to next(iter_factors(g)): cycles by least vertex,
-    each from it toward its smaller neighbor, and K2s by index."""
+    one factor, as listing_json lists it: cycles by least vertex, each
+    from it toward its smaller neighbor, and K2s by index."""
     if not has_factor(g):
         return None
     sigma = _sigma(g)
@@ -177,16 +158,23 @@ def factor_edges(g: Graph) -> tuple[bool, ...]:
     perfect matching.  With sigma perfect, that is iff the arc lies on a
     cycle that alternates with sigma: iff u and back(v), the vertex matched
     to v', share a strong component of the digraph D: w -> back(x), x in
-    N(w), x != sigma(w).  (For an arc of sigma, back(v) = u.)"""
+    N(w), x != sigma(w).  (For an arc of sigma, back(v) = u.)  Found on
+    first use and kept in the graph's instance dict, as sigma is, so the
+    count up to 2 and the weight search share one pass."""
+    present = vars(g).get("_factor_edges")
+    if present is not None:
+        return present
     sigma = _sigma(g)
-    if -1 in sigma:
-        return (False,) * g.m
-    back = [0] * g.n
-    for w, x in enumerate(sigma):
-        back[x] = w
-    comp = _strong_components(
-        [[back[x] for x in adj if x != sigma[w]] for w, adj in enumerate(g._adjacency)])
-    return tuple(comp[u] == comp[back[v]] for u, v in g.edges)
+    present = (False,) * g.m
+    if -1 not in sigma:
+        back = [0] * g.n
+        for w, x in enumerate(sigma):
+            back[x] = w
+        comp = _strong_components(
+            [[back[x] for x in adj if x != sigma[w]] for w, adj in enumerate(g._adjacency)])
+        present = tuple(comp[u] == comp[back[v]] for u, v in g.edges)
+    vars(g)["_factor_edges"] = present
+    return present
 
 
 def _strong_components(succ: list[list[int]]) -> list[int]:
@@ -279,10 +267,11 @@ class _FactorTable:
     f has at most 2^n states of O(n^2) steps and p at most n * 2^n of O(n)
     steps, filled on demand and kept, as are the choices at each set.  A
     nested call has fewer uncovered vertices than its caller (p's path end
-    counting as one), so f and p recurse at most n + 1 calls deep and the
-    listing's cycle search n: at n <= TABLE_N_LIMIT, checked before any
-    recursion, that fits the default limit of 1,000 frames below the 10 to
-    33 frames of any caller (the CLI, a pool worker, pytest).
+    counting as one), so f and p recurse at most n + 1 calls deep; the
+    listing and its cycle search keep explicit stacks.  At n <=
+    TABLE_N_LIMIT, checked before any recursion, that fits the default
+    limit of 1,000 frames below the 10 to 33 frames of any caller (the
+    CLI, a pool worker, pytest).
     """
 
     def __init__(self, g: Graph):
@@ -354,60 +343,55 @@ class _FactorTable:
         finally:
             f = p = None    # the closures refer to each other: free them now
 
-    def choices(self, s: int) -> list[tuple[tuple, tuple, int]]:
+    def choices(self, s: int) -> list[tuple[tuple[int, ...], str, int]]:
         """The ways to cover the least vertex v of S that leave a set with a
-        factor, in listing order, as ((K2 edge,), (), set left) or ((),
-        (cycle edges,), set left): the K2 partners of v in vertex order,
-        then the cycles through v in lexicographic order of their vertex
-        sequences, each from v toward the smaller of its two neighbors on
-        it.  Reads the memos that f(S) filled.
+        factor, in listing order, as ((K2 edge,), "", set left) or ((),
+        cycle text, set left), the text being "," and the JSON array of the
+        cycle's edges: the K2 partners of v in vertex order, then the
+        cycles through v in lexicographic order of their vertex sequences,
+        each from v toward the smaller of its two neighbors on it.  Reads
+        the memos that f(S) filled.
 
         The cycles come from a depth-first search over paths from v, in
-        vertex order.  It steps to x only when p of the path to x is
-        nonzero and some neighbor of v above the path's second vertex is
-        still uncovered; it closes only at such a neighbor, and only when
-        what the cycle leaves has a factor."""
+        vertex order, on an explicit stack.  It steps to x only when p of
+        the path to x is nonzero and some neighbor of v above the path's
+        second vertex is still uncovered; it closes only at such a
+        neighbor, and only when what the cycle leaves has a factor."""
         out = self.choice_lists.get(s)
         if out is not None:
             return out
-        memo, nbr = self.f_memo, self.nbr
+        memo, nbr, edge_id = self.f_memo, self.nbr, self.edge_id
         shift = len(nbr).bit_length()
         low = s & -s
         v = low.bit_length() - 1
         rest = s ^ low
         home = nbr[v]
         pv = self.p_memo[v]
-        edge_id = self.edge_id
         out = []
         pair = home & rest
         while pair:
             b = pair & -pair
             if memo[rest ^ b]:
-                out.append(((edge_id[v][b.bit_length() - 1],), (), rest ^ b))
+                out.append(((edge_id[v][b.bit_length() - 1],), "", rest ^ b))
             pair ^= b
-        path: list[int] = []    # the edges of the path from v
-
-        def extend(end: int, left: int, close: int) -> None:
-            # close: the neighbors of v above the path's second vertex (0
-            # while the path is just v)
+        # each path: its end, the vertices it leaves, the neighbors of v
+        # above its second vertex (0 while it is just v) and the text of its
+        # edges.  Steps are pushed in falling vertex order, to come off rising
+        paths = [(v, rest, 0, ",[")]
+        while paths:
+            end, left, close, text = paths.pop()
+            ids = edge_id[end]
             if close >> end & 1 and memo[left]:
-                out.append(((), ((*path, edge_id[end][v]),), left))
+                out.append(((), f"{text}{ids[v]}]", left))
             step = nbr[end] & left
             while step:
-                b = step & -step
+                x = step.bit_length() - 1
+                b = 1 << x
                 step ^= b
                 above = close or home & -(b << 1)
-                x = b.bit_length() - 1
                 # f(S) filled p for every step but the first
                 if above & left and pv.get((left ^ b) << shift | x, 1):
-                    path.append(edge_id[end][x])
-                    extend(x, left ^ b, above)
-                    path.pop()
-
-        try:
-            extend(v, rest, 0)
-        finally:
-            extend = None   # as in f
+                    paths.append((x, left ^ b, above, f"{text}{ids[x]},"))
         self.choice_lists[s] = out
         return out
 

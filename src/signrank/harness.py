@@ -22,7 +22,10 @@ route witness to check, and t31 fails it).
 
 Objects are serialized with sorted keys and no whitespace, by one shared
 encoder, so two runs with identical inputs, seed and configuration produce
-byte-identical reports.
+byte-identical reports.  A factors record's listing alone comes as text,
+written by factors.listing_json in the same form (sorted keys, no
+whitespace), and goes first in its line, as "factors" is the least key a
+record carries; the encoder writes the rest of the record.
 Per-record wall-clock timings are only included when explicitly requested,
 because they would break that reproducibility.
 
@@ -66,8 +69,7 @@ except ImportError:
 from . import __version__
 from .errors import GraphParseError, ResourceCapError
 from .exact_linalg import adjacency_matrix, permanent
-from .factors import (
-    count_factors, count_nonzero_transversals, enumerate_factors, perrank_fast)
+from .factors import count_factors, count_nonzero_transversals, listing_json, perrank_fast
 from .graph_core import (
     Graph,
     _graph_of,
@@ -222,9 +224,9 @@ def _minrank(g: Graph, seed: int, cfg: RunConfig) -> dict:
 
 
 def _factors(g: Graph, seed: int, cfg: RunConfig) -> dict:
-    # the encoder writes the factors' tuples as arrays
-    listing = [{"k2": f.k2_edges, "cycles": f.cycles} for f in enumerate_factors(g)]
-    return {"t": len(listing), "factors": listing}
+    # "factors" holds the listing's JSON text, which _line writes as it is
+    t, listing = listing_json(g)
+    return {"t": t, "factors": listing}
 
 
 def _perrank(g: Graph, seed: int, cfg: RunConfig) -> dict:
@@ -374,7 +376,7 @@ def write_report(graphs: Iterable[Graph], cfg: RunConfig,
     summary = {"records": 0, "pass": 0, "fail": 0, "skip": 0, "partial": 0}
 
     def emit(rec: dict) -> None:
-        write(_dumps(rec) + "\n")
+        write(_line(rec))
         summary["records"] += 1
         if rec["status"] != "ok":
             summary[rec["status"]] += 1
@@ -418,6 +420,19 @@ def pool_size(jobs: int, tasks: int) -> int:
 # dicts, lists, tuples, ints and strings, never circular, so the encoder
 # keeps no table of the containers it is inside
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+
+def _line(rec: dict) -> str:
+    """A record's report line.  A factors record's "factors" is already the
+    JSON text of its listing (factors.listing_json): it goes first, as
+    "factors" sorts before every other key a record can carry (g6, id, m,
+    ms, n, reason, record, status, t), and the shared encoder writes the
+    rest, so the bytes are those of encoding the whole record."""
+    listing = rec.get("factors")
+    if listing is None:
+        return _dumps(rec) + "\n"
+    rest = _dumps({key: value for key, value in rec.items() if key != "factors"})
+    return '{"factors":[' + listing + "]," + rest[1:] + "\n"
 
 
 def _is_partial(rec: dict) -> bool:

@@ -3,15 +3,78 @@ against.  None of them has a caller in the package itself."""
 
 from __future__ import annotations
 
+import json
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
+from typing import Iterator
 
 from signrank.assignments import EdgeAssignment
 from signrank.errors import PreconditionError
-from signrank.factors import _table, count_factors, iter_factors
+from signrank.factors import Factor, _table, count_factors
 from signrank.graph_core import Graph, components, delete_edges, induced_subgraph, is_bipartite
 from signrank.zero_sum_flow import _search
+
+
+def factor_choices(g: Graph, s: int) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]]:
+    """The package's choices at the vertex set S (_FactorTable.choices), each
+    read back as ((K2 edge,), (), set left) or ((), (cycle edges,), set
+    left).  A cycle's text must be "," and its edges' JSON array, as the
+    listing writes it; a K2 choice has no text."""
+    out = []
+    for k2, text, left in _table(g).choices(s):
+        cycles = ()
+        if text:
+            cycle = tuple(json.loads(text[1:]))
+            assert text == ",[" + ",".join(map(str, cycle)) + "]", text
+            cycles = (cycle,)
+        out.append((k2, cycles, left))
+    return out
+
+
+def iter_factors(g: Graph) -> Iterator[Factor]:
+    """Every spanning {1,2}-factor exactly once, as Factor tuples, by the
+    walk of factors.listing_json over the package's choices
+    (factor_choices): at the set S of uncovered vertices, each choice in
+    turn, listing a factor when no vertex is left.  The order is that of a
+    backtracking search over the lowest uncovered vertex."""
+    if g.n == 0:
+        yield Factor((), ())
+        return
+    full = (1 << g.n) - 1
+    if not count_factors(g):
+        return
+    read: dict[int, list] = {}
+
+    def choices(s: int) -> list:
+        if s not in read:
+            read[s] = factor_choices(g, s)
+        return read[s]
+
+    # each level: the K2 edges and cycles taken above it, and its choices
+    stack = [((), (), iter(choices(full)))]
+    while stack:
+        k2s, cycles, todo = stack[-1]
+        for k2, cycle, left in todo:
+            k2_edges = k2s + k2
+            cycle_edges = cycles + cycle
+            if left:
+                stack.append((k2_edges, cycle_edges, iter(choices(left))))
+                break
+            yield Factor(k2_edges, cycle_edges)
+        else:
+            stack.pop()
+
+
+def enumerate_factors(g: Graph) -> list[Factor]:
+    """All {1,2}-factors in canonical order: those of iter_factors grouped
+    by K2 edge tuple, groups in sorted order, each in walk order.  The
+    reference for factors.listing_json's text."""
+    groups = defaultdict(list)
+    for f in iter_factors(g):
+        groups[f.k2_edges].append(f)
+    return [f for k2s in sorted(groups) for f in groups[k2s]]
 
 
 def flow_exists_nonbipartite_test(g: Graph) -> bool:

@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import weakref
 from itertools import combinations
@@ -15,22 +16,42 @@ from signrank.factors import (
     count_factors,
     count_factors_at_most,
     count_nonzero_transversals,
-    enumerate_factors,
     factor_edges,
     has_factor,
-    iter_factors,
+    listing_json,
     matching_factor,
     perrank_fast,
 )
 from signrank.graph_core import Graph, induced_subgraph
 
 from conftest import complete, cycle, grid, path, petersen, star
-from oracles import edge_membership, perrank_bruteforce
+from oracles import (
+    edge_membership,
+    enumerate_factors,
+    factor_choices,
+    iter_factors,
+    perrank_bruteforce,
+)
 
 
 def edge_set(f: Factor) -> frozenset[int]:
     """The edge indices of a factor, K2s and cycles together."""
     return frozenset(f.k2_edges).union(*f.cycles)
+
+
+def listed(g: Graph) -> list[Factor]:
+    """The package's listing (listing_json), read back as Factor tuples."""
+    t, text = listing_json(g)
+    facs = [Factor(tuple(d["k2"]), tuple(map(tuple, d["cycles"])))
+            for d in json.loads("[" + text + "]")]
+    assert t == len(facs)
+    return facs
+
+
+def listing_dicts(factors: list[Factor]) -> list[dict]:
+    """Factors as a factors record lists them: {"k2": [...], "cycles":
+    [[...], ...]} each."""
+    return [{"k2": list(f.k2_edges), "cycles": [list(c) for c in f.cycles]} for f in factors]
 
 
 def factor_oracle(g: Graph) -> set[frozenset[int]]:
@@ -100,34 +121,34 @@ small_graphs = st.integers(0, 5).flatmap(
 
 class TestEnumeration:
     def test_p3_has_none(self):
-        assert enumerate_factors(path(3)) == []
+        assert listed(path(3)) == []
 
     def test_c4(self):
-        facs = enumerate_factors(cycle(4))
+        facs = listed(cycle(4))
         assert len(facs) == 3
         assert {edge_set(f) for f in facs} == factor_oracle(cycle(4))
         kinds = sorted((len(f.k2_edges), len(f.cycles)) for f in facs)
         assert kinds == [(0, 1), (2, 0), (2, 0)]
 
     def test_k4(self):
-        facs = enumerate_factors(complete(4))
+        facs = listed(complete(4))
         assert len(facs) == 6
         assert {edge_set(f) for f in facs} == factor_oracle(complete(4))
         assert sum(1 for f in facs if len(f.cycles) == 1) == 3  # Hamiltonian cycles
         assert sum(1 for f in facs if len(f.k2_edges) == 2) == 3  # perfect matchings
 
     def test_null_graph_has_empty_factor(self):
-        facs = enumerate_factors(Graph(0, ()))
+        facs = listed(Graph(0, ()))
         assert facs == [Factor((), ())]
 
     def test_matches_oracle_up_to_n5(self, corpus_le5):
         for g in corpus_le5:
-            assert {edge_set(f) for f in enumerate_factors(g)} == factor_oracle(g)
+            assert {edge_set(f) for f in listed(g)} == factor_oracle(g)
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs)
     def test_factor_structure(self, g):
-        facs = enumerate_factors(g)
+        facs = listed(g)
         seen = set()
         for f in facs:
             deg = {}
@@ -183,7 +204,7 @@ class TestCounts:
 
 
 def reference_factors(g: Graph) -> Iterator[Factor]:
-    """The backtracking listing that iter_factors replaced, kept as the slow
+    """The backtracking listing that the table walk replaced, kept as the slow
     reference it must match factor for factor and in order.
 
     Backtracks over the lowest-index uncovered vertex v: either match v to
@@ -285,8 +306,9 @@ class TestCountingDP:
 
 
 class TestListingWalk:
-    """iter_factors walks the DP table; the reference backtracking must give
-    the same factors in the same order."""
+    """The listing's walk over the DP table's choices (iter_factors in
+    tests/oracles.py); the reference backtracking must give the same
+    factors in the same order."""
 
     def test_corpora(self, corpus_le7, corpus_bipartite_2ec_n8):
         for g in corpus_le7 + corpus_bipartite_2ec_n8:
@@ -309,7 +331,7 @@ class TestListingWalk:
         # the table holds no reference back to the graph and no cycle, so
         # it goes with the graph at once, not at the next garbage collection
         g = complete(6)
-        list(iter_factors(g))
+        listing_json(g)
         count_nonzero_transversals(g)
         table = weakref.ref(vars(g)["_factor_table"])
         del g
@@ -326,7 +348,7 @@ class TestListingWalk:
             for g in graphs:
                 count_factors(g)
                 count_nonzero_transversals(g)
-                list(iter_factors(g))
+                listing_json(g)
             del graphs, g
             assert gc.collect() == 0
         finally:
@@ -404,8 +426,9 @@ class TestMatchingTClass:
 
 
 class TestCanonicalListing:
-    """enumerate_factors sorts no factor: grouped by K2 edges, the walk's
-    order must already be the sorted order."""
+    """The listing sorts no factor: grouped by K2 edges, the walk's order
+    (iter_factors and enumerate_factors in tests/oracles.py) must already be
+    the sorted order."""
 
     @staticmethod
     def check(g: Graph) -> None:
@@ -479,12 +502,11 @@ class TestChoices:
 
     @staticmethod
     def check_walk(g: Graph) -> int:
-        list(iter_factors(g))
-        table = vars(g).get("_factor_table")
-        sets = table.choice_lists if table is not None else {}
+        listing_json(g)
+        sets = vars(g)["_factor_table"].choice_lists
         leaves: dict[int, bool] = {}
         for s in sets:
-            assert table.choices(s) == oracle_choices(g, s, leaves), (g, s)
+            assert factor_choices(g, s) == oracle_choices(g, s, leaves), (g, s)
         return len(sets)
 
     def test_corpora(self, corpus_le7, corpus_bipartite_2ec_n8):
@@ -521,9 +543,43 @@ class TestDenseListing:
             record = report.splitlines()[1]
             expected = {
                 **harness._base_record(0, g), "status": "ok", "t": len(listed),
-                "factors": [{"k2": list(f.k2_edges), "cycles": [list(c) for c in f.cycles]}
-                            for f in sorted(listed, key=lambda f: (f.k2_edges, f.cycles))]}
+                "factors": listing_dicts(sorted(listed, key=lambda f: (f.k2_edges, f.cycles)))}
             assert record == harness._dumps(expected)
+
+
+class TestTextListing:
+    """listing_json's text is the JSON of the oracle listing
+    (enumerate_factors in tests/oracles.py) as the shared encoder writes
+    it: sorted keys, no whitespace."""
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        t, text = listing_json(g)
+        expected = listing_dicts(enumerate_factors(g))
+        assert json.loads("[" + text + "]") == expected
+        assert "[" + text + "]" == harness._dumps(expected)
+        assert t == len(expected) == count_factors(g)
+
+    def test_corpora(self, corpus_le7, corpus_bipartite_2ec_n8):
+        for g in corpus_le7 + corpus_bipartite_2ec_n8:
+            self.check(g)
+
+    def test_random_gnp(self):
+        rng = random.Random(20261021)
+        for _ in range(200):
+            self.check(_gnp(rng, rng.randint(8, 11), rng.choice((0.2, 0.3, 0.4, 0.5))))
+
+    def test_dense(self):
+        for g in _dense_graphs(4):
+            self.check(g)
+
+    def test_null_graph_lists_one_empty_factor(self):
+        assert listing_json(Graph(0, ())) == (1, '{"cycles":[],"k2":[]}')
+        self.check(Graph(0, ()))
+
+    def test_no_factor_lists_nothing(self):
+        assert listing_json(path(3)) == (0, "")
+        self.check(path(3))
 
 
 class TestFactorContract:

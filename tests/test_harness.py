@@ -390,6 +390,23 @@ class TestDoubleCoverMatchings:
         assert len({id(g) for g in matched}) == len(matched)
         assert sorted(g.edges for g in matched) == sorted(g.edges for g in graphs)
 
+    def test_one_strong_component_pass_per_graph(self, monkeypatch):
+        # with no flow nodes the climb fails and the weight search goes on to
+        # the algebraic route: the t-class and the drop step read one
+        # factor_edges pass.  Every edge of these graphs lies in a factor,
+        # so no step recurses on a subgraph with a pass of its own
+        passes = []
+        original = factors._strong_components
+
+        def counting(succ):
+            passes.append(len(succ))
+            return original(succ)
+
+        monkeypatch.setattr(factors, "_strong_components", counting)
+        graphs = [petersen(), complete(5), complete(6)]
+        run(graphs, RunConfig(command="weightfind", caps=Caps(flow_nodes=0)))
+        assert passes == [10, 5, 6]
+
 
 class TestHeaderLine:
     """The header line is encoded once per config and reused."""
@@ -434,12 +451,12 @@ class TestSkipRecords:
 
     def test_factor_listing_above_the_cap(self, monkeypatch, tmp_path, capsys):
         # t(K11) = 5,238,370 and t(K12) = 60,222,844 (n within factor_n):
-        # enumerate_factors checks the count before anything is listed, so
+        # listing_json checks the count before its walk takes a step, so
         # the records skip at once instead of holding millions of factors
-        def no_listing(g):
+        def no_listing(table, s):
             raise AssertionError("listed factors above the cap")
 
-        monkeypatch.setattr(factors, "iter_factors", no_listing)
+        monkeypatch.setattr(factors._FactorTable, "choices", no_listing)
         report, summary = run([complete(11), complete(12)], RunConfig(command="factors"))
         _, records, _ = parse_report(report)
         for rec, t in zip(records, (5238370, 60222844)):
@@ -632,6 +649,24 @@ class TestDeterminism:
         a, _ = run(graphs, RunConfig(command="analyze", seed=7, jobs=1))
         b, _ = run(graphs, RunConfig(command="analyze", seed=7, jobs=2))
         assert a == b
+
+    def test_factors_listing_splice(self):
+        # a factors record's listing comes as text and goes first in its
+        # line: the same bytes in one process and in a pool, and with
+        # timings still a JSON object whose keys come out sorted
+        graphs = list(load_corpus((DATA / "graphs_le7.g6").read_text(), "graph6")[800:900])
+        graphs.append(complete(8))      # t = 6,202
+        a, _ = run(graphs, RunConfig(command="factors", jobs=1))
+        b, _ = run(graphs, RunConfig(command="factors", jobs=2))
+        assert a == b
+        timed, _ = run(graphs, RunConfig(command="factors", timings=True))
+        records = timed.splitlines()[1:-1]
+        assert len(records) == len(graphs)
+        for line in records:
+            rec = json.loads(line)
+            assert list(rec) == sorted(rec) and "ms" in rec
+            assert line.startswith('{"factors":[') and len(rec["factors"]) == rec["t"]
+        assert rec["t"] == 6202
 
     def test_jobs_do_not_change_bytes_at_the_depth_limit(self):
         # a pool worker calls a record deeper than one process does; the
