@@ -5,8 +5,11 @@ A matrix is a sequence of integer rows (adjacency_matrix and
 matrix_at_point build lists of lists); no function here mutates the rows it
 is given.  Determinant and rank share one fraction-free (Bareiss)
 elimination: every intermediate entry is an exact minor of the input, kept
-integral by exact division through the previous pivot.  Python integers are
-arbitrary precision, so nothing overflows.
+integral by exact division through the previous pivot.  A row whose entry
+in the pivot column is 0 updates to x * pivot / prev, so it is skipped when
+the two pivots are equal and only rescaled otherwise: the entries are the
+same minors, and a sparse matrix pays arithmetic only where a pivot reaches.
+Python integers are arbitrary precision, so nothing overflows.
 """
 
 from __future__ import annotations
@@ -70,9 +73,13 @@ def _eliminate(m: Rows) -> tuple[int, int, int]:
         for i in range(r + 1, nrows):
             row_i = a[i]
             f = row_i[c]
-            for j in range(c + 1, ncols):
-                row_i[j] = (row_i[j] * pivot - f * row_r[j]) // prev
-            row_i[c] = 0
+            if f:
+                for j in range(c + 1, ncols):
+                    row_i[j] = (row_i[j] * pivot - f * row_r[j]) // prev
+                row_i[c] = 0
+            elif pivot != prev:
+                for j in range(c + 1, ncols):
+                    row_i[j] = row_i[j] * pivot // prev
         prev = pivot
         r += 1
         if r == nrows:

@@ -77,6 +77,43 @@ def enumerate_factors(g: Graph) -> list[Factor]:
     return [f for k2s in sorted(groups) for f in groups[k2s]]
 
 
+def bareiss(m) -> tuple[int, int, int]:
+    """(rank, sign of the row swaps, last pivot) by fraction-free elimination
+    that updates every row below the pivot, the step that
+    exact_linalg._eliminate skips when it would leave a row as it is.  The
+    reference for that skip."""
+    a = [list(row) for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    r = 0
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        pivot_row = -1
+        for i in range(r, nrows):
+            if a[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row < 0:
+            continue
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            sign = -sign
+        row_r = a[r]
+        pivot = row_r[c]
+        for i in range(r + 1, nrows):
+            row_i = a[i]
+            f = row_i[c]
+            for j in range(c + 1, ncols):
+                row_i[j] = (row_i[j] * pivot - f * row_r[j]) // prev
+            row_i[c] = 0
+        prev = pivot
+        r += 1
+        if r == nrows:
+            break
+    return r, sign, prev
+
+
 def flow_exists_nonbipartite_test(g: Graph) -> bool:
     """Existence test for connected non-bipartite graphs: a zero-sum flow
     exists iff no single edge removal leaves a bipartite component."""

@@ -6,6 +6,7 @@ import pytest
 from signrank.assignments import EdgeAssignment
 from signrank.errors import InvalidAssignmentError
 from signrank.exact_linalg import (
+    _eliminate,
     adjacency_matrix,
     det,
     matrix_at_point,
@@ -13,7 +14,8 @@ from signrank.exact_linalg import (
     rank,
 )
 
-from conftest import complete, cycle
+from conftest import chain_of_4_cycles, complete, cycle, grid
+from oracles import bareiss
 
 
 def det_by_permutations(m) -> int:
@@ -203,3 +205,54 @@ class TestRowsUnchanged:
                 for fn in (det, rank, permanent):
                     fn(m)
                     assert m == before
+
+
+def _matrices_with_zero_lines(rng, count):
+    """count seeded matrices of 0-12 rows and 0-12 columns, entries in
+    {-1, 0, 1} or -9..9 at a random density, some rows and columns zeroed:
+    rectangular, singular, and with negative pivots."""
+    for _ in range(count):
+        rows, cols = rng.randint(0, 12), rng.randint(0, 12)
+        lo, hi = rng.choice(((-1, 1), (-9, 9)))
+        density = rng.random()
+        m = [[rng.randint(lo, hi) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        for i in range(rows):
+            if rng.random() < 0.1:
+                m[i] = [0] * cols
+        for j in range(cols):
+            if rng.random() < 0.1:
+                for row in m:
+                    row[j] = 0
+        yield m
+
+
+class TestSkippedRowUpdates:
+    """_eliminate leaves a row alone when its pivot-column entry is 0 and the
+    pivot equals the previous one, and only rescales it when the pivots
+    differ; bareiss updates every row.  Both must agree on (rank, sign,
+    last pivot) for every input."""
+
+    @staticmethod
+    def signed(g, rng):
+        return adjacency_matrix(g, tuple(rng.choice((1, -1)) for _ in range(g.m)))
+
+    def test_corpora(self, corpus_le7, corpus_bipartite_2ec_n8):
+        rng = random.Random(31)
+        for g in corpus_le7 + corpus_bipartite_2ec_n8:
+            for m in (adjacency_matrix(g, (1,) * g.m), self.signed(g, rng)):
+                assert _eliminate(m) == bareiss(m), g.edges
+
+    def test_seeded_matrices(self):
+        rng = random.Random(2024)
+        shapes = set()
+        for m in _matrices_with_zero_lines(rng, 1200):
+            assert _eliminate(m) == bareiss(m), m
+            shapes.add((len(m), len(m[0]) if m else 0))
+        assert len(shapes) > 120
+
+    @pytest.mark.parametrize("g", [chain_of_4_cycles(30), grid(8, 8)], ids=["chain30", "grid8x8"])
+    def test_large_sparse_graphs(self, g):
+        rng = random.Random(g.n)
+        for m in (adjacency_matrix(g, (1,) * g.m), self.signed(g, rng)):
+            assert _eliminate(m) == bareiss(m)

@@ -488,8 +488,10 @@ class TestSkipRecords:
     @pytest.mark.parametrize("command, theorem", [("weightfind", None), ("verify", "r32")])
     def test_factor_cap_keeps_dense_determinants_off(self, command, theorem, monkeypatch):
         # t = 0 here, so the weight search needs no factor table, but its
-        # vacuous witness is re-checked by an exact n x n determinant, whose
-        # time grows about as n^3 (n = 3301).  The factor cap answers at once
+        # vacuous witness is re-checked by an exact n x n determinant.  That
+        # one is all ones on a sparse chain and takes about a second at
+        # n = 3301, yet a determinant stays cubic in n when its pivots grow
+        # (dense or signed matrices).  The factor cap answers at once
         def no_det(matrix):
             raise AssertionError("exact determinant above the factor cap")
 
@@ -498,6 +500,19 @@ class TestSkipRecords:
         _, (rec,), _ = parse_report(report)
         assert rec["status"] == "skip" and rec["reason"] == "n=3301 exceeds factor cap 12"
         assert summary["skip"] == 1
+
+    def test_weightfind_on_a_long_chain_above_the_cap(self):
+        # n = 601, t = 0: the vacuous witness's all-ones determinant skips
+        # the row updates that change nothing, so it takes a few hundredths
+        # of a second where updating every row took seconds
+        g = chain_of_4_cycles(200)
+        report, summary = run([g], RunConfig(command="weightfind", caps=Caps(factor_n=1000)))
+        _, (rec,), _ = parse_report(report)
+        assert rec["status"] == "ok" and summary["partial"] == summary["skip"] == 0
+        block = rec["weight"]
+        assert block["route"] == "exhaustive" and block["identically_singular"] is True
+        assert block["witness"] == [1] * g.m
+        assert verify_weight(g, EdgeAssignment(block["witness"], "weight")) == "singular"
 
     def test_recursion_limit_skips_the_record(self, tmp_path, capsys):
         # the factor table recurses about once per vertex of a long cycle:
