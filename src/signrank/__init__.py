@@ -15,13 +15,7 @@ from .errors import (
     SignRankError,
 )
 from .exact_linalg import adjacency_matrix, det, matrix_at_point, permanent, rank
-from .factors import (
-    Factor,
-    count_factors,
-    count_nonzero_transversals,
-    has_factor,
-    perrank_fast,
-)
+from .factors import count_factors, count_nonzero_transversals, has_factor, perrank_fast
 from .graph_core import (
     Graph,
     components,

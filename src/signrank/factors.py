@@ -1,13 +1,13 @@
 """{1,2}-factors: listing, counting, and the invariants built on them.
 
 A {1,2}-factor is a spanning subgraph that is a disjoint union of single
-edges (K2 components) and cycles of length >= 3.  Each factor is produced
-exactly once in a canonical form: every cycle starts at its smallest vertex
-and is traversed toward its smaller neighbor; the factor's cycle list and
-K2 list are index-sorted.
+edges (K2 components) and cycles of length >= 3.  The listing writes each
+factor exactly once in a canonical form: every cycle starts at its smallest
+vertex and is traversed toward its smaller neighbor; the factor's cycle
+list and K2 list are index-sorted.
 
 One subset DP over vertex sets (_FactorTable), built once per graph and
-kept with it while the graph lives, answers every count and the listing:
+kept with it (graph_core.per_graph), answers every count and the listing:
 t(g) and the nonzero-transversal count are two residues of one packed
 value, read without listing a factor, and listing_json lists the factors
 by walking the same table, taking only steps that lead to a factor, and
@@ -22,9 +22,9 @@ memo and one p memo per start vertex, and a recursion up to n + 1 calls
 deep (so no table has more than TABLE_N_LIMIT vertices): it is meant for
 n <= about 12, the harness's factor_n cap.  Past the table, a listing costs
 in proportion to what it lists; a full one checks t <= LISTING_CAP.
-perrank_fast, has_factor, matching_factor, factor_edges and
+perrank_fast, has_factor, matching_cycles, factor_edges and
 count_factors_at_most up to limit 2 take polynomial time at any n, on one
-double-cover matching.
+double-cover matching, kept with the graph as the table is.
 
 Conventions: the empty graph on 0 vertices has exactly one (empty) factor;
 an edgeless graph on n >= 1 vertices has none.  perrank is the order of the
@@ -35,21 +35,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from math import factorial
-from typing import NamedTuple
 
 from .errors import ResourceCapError
-from .graph_core import Graph
+from .graph_core import Graph, per_graph
 
 LISTING_CAP = 500_000      # the most factors one full listing may hold
 TABLE_N_LIMIT = 900        # the most vertices a factor table may have (its depth)
-
-
-class Factor(NamedTuple):
-    """One {1,2}-factor: K2 edges by index, and cycles as edge-index tuples
-    in canonical traversal order."""
-
-    k2_edges: tuple[int, ...]
-    cycles: tuple[tuple[int, ...], ...]
 
 
 def listing_json(g: Graph) -> tuple[int, str]:
@@ -113,43 +104,36 @@ def count_factors_at_most(g: Graph, limit: int) -> int:
     factor (factor_edges)."""
     if limit > 2:
         return min(count_factors(g), limit)
-    f = matching_factor(g)
-    if f is None:
+    cycles = matching_cycles(g)
+    if cycles is None:
         return min(0, limit)
     sigma = _sigma(g)
-    second = any(len(c) % 2 == 0 for c in f.cycles) or any(
+    second = any(len(c) > 2 and len(c) % 2 == 0 for c in cycles) or any(
         present and sigma[u] != v and sigma[v] != u
         for present, (u, v) in zip(factor_edges(g), g.edges))
     return min(1 + second, limit)
 
 
-def matching_factor(g: Graph) -> Factor | None:
-    """The factor formed by the cycles of the double-cover matching sigma,
-    in canonical form, or None when g has none.  When t = 1 it is the
-    one factor, as listing_json lists it: cycles by least vertex, each
-    from it toward its smaller neighbor, and K2s by index."""
-    if not has_factor(g):
-        return None
+def matching_cycles(g: Graph) -> tuple[tuple[int, ...], ...] | None:
+    """The cycles of the double-cover matching sigma as vertex tuples, each
+    from its least vertex v along v, sigma(v), ..., in order of v (a 2-cycle
+    is a K2); or None when sigma is not perfect, so g has no factor.  They
+    form a factor F, the one factor when t = 1."""
     sigma = _sigma(g)
-    index = {e: i for i, e in enumerate(g.edges)}
-    k2s, cycles, seen = [], [], set()
+    if -1 in sigma:
+        return None
+    cycles, seen = [], set()
     for v in range(g.n):
-        if v in seen:
-            continue
-        walk = [v]
-        while sigma[walk[-1]] != v:
-            walk.append(sigma[walk[-1]])
-        seen.update(walk)
-        if walk[-1] < walk[1]:
-            walk[1:] = walk[:0:-1]
-        edges = tuple(index[min(a, b), max(a, b)] for a, b in zip(walk, walk[1:] + walk[:1]))
-        if len(walk) == 2:
-            k2s.append(edges[0])
-        else:
-            cycles.append(edges)
-    return Factor(tuple(k2s), tuple(cycles))
+        if v not in seen:
+            walk = [v]
+            while sigma[walk[-1]] != v:
+                walk.append(sigma[walk[-1]])
+            seen.update(walk)
+            cycles.append(tuple(walk))
+    return tuple(cycles)
 
 
+@per_graph("_factor_edges")
 def factor_edges(g: Graph) -> tuple[bool, ...]:
     """Per edge, whether some {1,2}-factor contains it (all False when g
     has none), in O(n + m) after the double-cover matching sigma.  A factor
@@ -158,23 +142,18 @@ def factor_edges(g: Graph) -> tuple[bool, ...]:
     perfect matching.  With sigma perfect, that is iff the arc lies on a
     cycle that alternates with sigma: iff u and back(v), the vertex matched
     to v', share a strong component of the digraph D: w -> back(x), x in
-    N(w), x != sigma(w).  (For an arc of sigma, back(v) = u.)  Found on
-    first use and kept in the graph's instance dict, as sigma is, so the
-    count up to 2 and the weight search share one pass."""
-    present = vars(g).get("_factor_edges")
-    if present is not None:
-        return present
+    N(w), x != sigma(w).  (For an arc of sigma, back(v) = u.)  Kept with
+    the graph, as sigma is, so the count up to 2 and the weight search
+    share one pass."""
     sigma = _sigma(g)
-    present = (False,) * g.m
-    if -1 not in sigma:
-        back = [0] * g.n
-        for w, x in enumerate(sigma):
-            back[x] = w
-        comp = _strong_components(
-            [[back[x] for x in adj if x != sigma[w]] for w, adj in enumerate(g._adjacency)])
-        present = tuple(comp[u] == comp[back[v]] for u, v in g.edges)
-    vars(g)["_factor_edges"] = present
-    return present
+    if -1 in sigma:
+        return (False,) * g.m
+    back = [0] * g.n
+    for w, x in enumerate(sigma):
+        back[x] = w
+    comp = _strong_components(
+        [[back[x] for x in adj if x != sigma[w]] for w, adj in enumerate(g._adjacency)])
+    return tuple(comp[u] == comp[back[v]] for u, v in g.edges)
 
 
 def _strong_components(succ: list[list[int]]) -> list[int]:
@@ -232,14 +211,11 @@ def count_nonzero_transversals(g: Graph) -> int:
     return table.f((1 << g.n) - 1) % (table.u - 2)
 
 
+@per_graph("_factor_table")
 def _table(g: Graph) -> _FactorTable:
-    """The graph's factor table, built on first use.  It is kept in the
-    graph's instance dict, as the graph's cached properties are, so every
-    count and listing on one graph shares it until the graph is freed."""
-    table = vars(g).get("_factor_table")
-    if table is None:
-        table = vars(g)["_factor_table"] = _FactorTable(g)
-    return table
+    """The graph's factor table, kept with the graph, so every count and
+    listing on one graph shares it until the graph is freed."""
+    return _FactorTable(g)
 
 
 class _FactorTable:
@@ -404,13 +380,11 @@ def perrank_fast(g: Graph) -> int:
     return g.n - _sigma(g).count(-1)
 
 
+@per_graph("_sigma")
 def _sigma(g: Graph) -> list[int]:
-    """The graph's double-cover matching, found on first use and kept in
-    its instance dict, so every caller on one graph shares one."""
-    sigma = vars(g).get("_sigma")
-    if sigma is None:
-        sigma = vars(g)["_sigma"] = _double_cover_matching(g)
-    return sigma
+    """The graph's double-cover matching, kept with the graph, so every
+    caller on one graph shares one."""
+    return _double_cover_matching(g)
 
 
 def _double_cover_matching(g: Graph) -> list[int]:

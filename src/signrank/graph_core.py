@@ -6,7 +6,8 @@ vertex, a stack walk that records each vertex's parent and depth and the
 order of the pops.  That order is a preorder, so every subtree and every
 component is a run of it.  For an edge ab outside the forest, with a popped
 first, b was waiting on the stack, so b's parent is the lowest common
-ancestor of a and b.
+ancestor of a and b.  Other modules keep what they derive from a graph on
+it the same way, through per_graph, so it goes with the graph.
 
 The edge order is canonical: a graph keeps its edges (u, v), u < v, sorted,
 the order graph6 decoding gives, however they were given.  It defines the
@@ -26,7 +27,7 @@ An optional ">>graph6<<" header is accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, NamedTuple
 
 from .errors import GraphParseError
@@ -109,6 +110,20 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self._adjacency[v])
+
+
+def per_graph(key: str):
+    """Decorator: a function's result for a graph, built on the first call
+    and kept in the graph's instance dict under key, as a cached property."""
+    def decorate(build):
+        @wraps(build)
+        def memo(g: Graph):
+            cache = vars(g)
+            if key not in cache:
+                cache[key] = build(g)
+            return cache[key]
+        return memo
+    return decorate
 
 
 def _graph_of(n: int, edges: tuple[tuple[int, int], ...]) -> Graph:

@@ -38,7 +38,7 @@ from math import gcd
 from .assignments import EdgeAssignment
 from .errors import ResourceCapError
 from .exact_linalg import adjacency_matrix, det, matrix_at_point
-from .factors import Factor, count_factors_at_most, factor_edges, has_factor, matching_factor
+from .factors import count_factors_at_most, factor_edges, has_factor, matching_cycles
 from .graph_core import Graph, components, delete_edges, induced_subgraph
 from .zero_sum_flow import DEFAULT_FLOW_NODES, flow_bound, least_bound_flow
 
@@ -78,41 +78,42 @@ def find_singular_weight(
     or certify impossibility.  See the module docstring for the routes;
     node_budget bounds each flow climb."""
     t2 = count_factors_at_most(g, 2)
-    if t2 == 0:
-        witness = EdgeAssignment((1,) * g.m, "weight")
-        _check_witness(g, witness)
-        return WeightSearchOutcome(witness, "exhaustive", None, identically_singular=True)
     if t2 == 1:
-        mono = _monomial_text(matching_factor(g))
         reason = (
             "unique factor: determinant polynomial is the single monomial "
-            f"{mono}, nonzero at every nowhere-zero point"
+            f"{_monomial_text(g)}, nonzero at every nowhere-zero point"
         )
         return WeightSearchOutcome(None, None, reason)
-
-    values, route = _singular_values(g, random.Random(seed), node_budget)
-    if values is None:
-        return WeightSearchOutcome(None, None, None)
+    if t2 == 0:
+        values, route = (1,) * g.m, "exhaustive"
+    else:
+        values, route = _singular_values(g, random.Random(seed), node_budget)
+        if values is None:
+            return WeightSearchOutcome(None, None, None)
     witness = EdgeAssignment(values, "weight")
-    _check_witness(g, witness)
-    return WeightSearchOutcome(witness, route, None)
-
-
-def _monomial_text(f: Factor) -> str:
-    """The one term of the determinant polynomial when f is the only factor:
-    x_i^2 on its K2 edges and x_i on its cycle edges, in edge order, with
-    coefficient (-1)^(#K2 + #even cycles) * 2^(#cycles); "1" for n = 0."""
-    powers = dict.fromkeys(f.k2_edges, "^2")
-    powers.update((i, "") for cyc in f.cycles for i in cyc)
-    mono = "*".join(f"x{i + 1}{powers[i]}" for i in sorted(powers)) or "1"
-    negative = (len(f.k2_edges) + sum(len(c) % 2 == 0 for c in f.cycles)) % 2
-    scale = f"{1 << len(f.cycles)}*" if f.cycles else ""
-    return "-" * negative + scale + mono
-
-
-def _check_witness(g: Graph, w: EdgeAssignment) -> None:
-    if verify_weight(g, w) != "singular":
+    if verify_weight(g, witness) != "singular":
         raise AssertionError("witness failed the exact singularity check")
+    return WeightSearchOutcome(witness, route, None, identically_singular=t2 == 0)
+
+
+def _monomial_text(g: Graph) -> str:
+    """The one term of the determinant polynomial when g has one factor F,
+    the cycles of the double-cover matching: x_i^2 on its K2 edges and x_i
+    on its cycle edges, in edge order, with coefficient (-1)^(#K2 + #even
+    cycles) * 2^(#cycles); "1" for n = 0.  The K2s are sigma's 2-cycles."""
+    cycles = matching_cycles(g)
+    power = _edges_of(cycles)
+    mono = "*".join(f"x{i + 1}{power[e]}" for i, e in enumerate(g.edges) if e in power) or "1"
+    negative = sum(len(c) % 2 == 0 for c in cycles) % 2
+    long = sum(len(c) > 2 for c in cycles)
+    return "-" * negative + (f"{1 << long}*" if long else "") + mono
+
+
+def _edges_of(cycles: tuple[tuple[int, ...], ...]) -> dict[tuple[int, int], str]:
+    """The edges (u, v), u < v, of vertex cycles, each mapped to its power
+    in the monomial: "^2" on a K2, "" on a longer cycle."""
+    return {(min(a, b), max(a, b)): "^2" if len(c) == 2 else ""
+            for c in cycles for a, b in zip(c, c[1:] + c[:1])}
 
 
 def _singular_values(
@@ -184,10 +185,9 @@ def _hunt_linear_root(g: Graph, rng: random.Random) -> tuple[int, ...] | None:
     with a and b nonzero, so x_j = -b/a at a point where both are nonzero.
     The root is exact, so f vanishes there; find_singular_weight re-checks
     the witness.  None, with no determinant taken, when no edge qualifies."""
-    factor = matching_factor(g)
-    in_factor = set(factor.k2_edges).union(*factor.cycles)
+    in_factor = _edges_of(matching_cycles(g))
     for j, (u, v) in enumerate(g.edges):
-        if j in in_factor and not has_factor(delete_edges(g, (j,))[0]):
+        if (u, v) in in_factor and not has_factor(delete_edges(g, (j,))[0]):
             continue        # in every factor
         if has_factor(induced_subgraph(g, set(range(g.n)) - {u, v})[0]):
             continue        # a K2 of some factor

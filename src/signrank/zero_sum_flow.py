@@ -48,15 +48,14 @@ Mod 3 it is a nowhere-zero Z_3 flow of the all-negative bidirected graph
 (Bouchet, "Nowhere-zero integral flows on a bidirected graph", J. Combin.
 Theory Ser. B 1983), and k = 3 first runs the same search for one, with
 +-1 standing for the residues 1 and 2 and every sum read mod 3.  When there
-is none, k = 3 has no flow: over the graphs of order at most 7, the 141
-with a flow but no 3-flow are refuted in 5,434 nodes, against 70,904 for
-the integer search.  When there is one, the integer search runs as it would
-alone, so the first flow is the same; both searches spend one budget.
+is none, k = 3 has no flow; when there is one, the integer search runs as it
+would alone, so the first flow is the same.  Both spend one budget.
 
 Callers get their flows from one climb, `least_bound_flow`: the solver at
 k = 2, 3, ... up to a bound, under one node budget, returning the first flow
-of the smallest bound that has one.  Its progress is kept with the graph, so
-an analyze record's weight search and flow block climb once between them.
+of the smallest bound that has one (None at once on a flow-free graph).
+The obstruction, the search plan and the climb's progress are kept with the
+graph, so an analyze record's weight search and flow block climb once.
 
 `flow_bound` gives the observed bounds that callers use: 2-edge-connected
 bipartite graphs admit zero-sum 6-flows, and any graph with a zero-sum flow
@@ -65,11 +64,12 @@ has a zero-sum 12-flow.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .assignments import EdgeAssignment
 from .errors import PreconditionError, ResourceCapError
-from .graph_core import Graph, components, forest_parity, is_bipartite, spanning_forest
+from .graph_core import Graph, components, forest_parity, is_bipartite, per_graph, spanning_forest
 
 DEFAULT_FLOW_NODES = 2_000_000  # a weight search's flow climb, and the flow_nodes cap
 
@@ -83,18 +83,15 @@ class FlowObstruction(NamedTuple):
     d: int
 
 
+@per_graph("_flow_obstruction")
 def flow_obstruction(g: Graph) -> FlowObstruction | None:
     """None when g has a zero-sum flow (of some bound), else the obstruction
-    at the smallest-index coloop of B, which proves it has none.  Kept in
-    the graph's instance dict, so callers on one graph (frozen, so it cannot
-    go stale) share one answer."""
-    cache = vars(g)
-    if "_flow_obstruction" not in cache:
-        obstruction = _first_coloop(g)
-        if obstruction is not None and not verify_obstruction(g, obstruction):
-            raise AssertionError("flow obstruction failed re-verification")
-        cache["_flow_obstruction"] = obstruction
-    return cache["_flow_obstruction"]
+    at the smallest-index coloop of B, which proves it has none.  Kept with
+    the graph, so callers on one graph share one answer."""
+    obstruction = _first_coloop(g)
+    if obstruction is not None and not verify_obstruction(g, obstruction):
+        raise AssertionError("flow obstruction failed re-verification")
+    return obstruction
 
 
 def _first_coloop(g: Graph) -> FlowObstruction | None:
@@ -184,34 +181,39 @@ def verify_obstruction(g: Graph, obs: FlowObstruction) -> bool:
 def least_bound_flow(g: Graph, bound: int, node_budget: int) -> EdgeAssignment | None:
     """The first zero-sum flow with values in {+-1, ..., +-(k-1)} at the
     smallest k = 2, ..., bound that has one, or None after a complete search
-    at bound, so absence is certified.  All bounds share node_budget; running
-    out raises ResourceCapError.  The bounds searched in full are kept in the
-    graph's instance dict: a later call resumes after them, with its own
+    at bound, so absence is certified; None with no search when
+    flow_obstruction proves g flow-free.  All bounds share node_budget;
+    running out raises ResourceCapError.  The bounds searched in full are
+    kept with the graph: a later call resumes after them, with its own
     budget."""
     if bound < 2:
         raise PreconditionError("flow bound must be >= 2")
-    cache = vars(g)
-    # bounds below k have no flow; flow is k's, or None if k is not searched
-    k, flow = cache.get("_flow_climb", (2, None))
-    while flow is None and k <= bound:
-        flow, node_budget = _search(g, k, node_budget)
-        if flow is None:
-            k += 1
-        cache["_flow_climb"] = k, flow
-    return flow if k <= bound else None
+    if flow_obstruction(g) is not None:
+        return None
+    climb = _climb(g)
+    while climb.flow is None and climb.k <= bound:
+        climb.flow, node_budget = _search(g, climb.k, node_budget)
+        if climb.flow is None:
+            climb.k += 1
+    return climb.flow if climb.k <= bound else None
+
+
+@per_graph("_flow_climb")
+def _climb(g: Graph) -> SimpleNamespace:
+    """The climb's progress: bounds below k have no flow; flow is k's, or
+    None while k is not searched."""
+    return SimpleNamespace(k=2, flow=None)
 
 
 def _search(g: Graph, k: int, budget: int) -> tuple[EdgeAssignment | None, int]:
-    """The first flow with values in {+-1, ..., +-(k-1)}, or None when
-    flow_obstruction proves there is none, when k = 2 and some vertex has
-    odd degree (no flow mod 2), when k = 3 and a complete search mod 3 finds
-    no flow mod 3, or after a complete search; and what is left of budget.
-    Past budget value assignments, those of the search mod 3 included, it
-    raises ResourceCapError (never a false "none"); a budget below 0 never
-    runs out.  Components are searched in turn, on g itself."""
+    """The first flow with values in {+-1, ..., +-(k-1)} of a graph with no
+    flow obstruction, or None when k = 2 and some vertex has odd degree (no
+    flow mod 2), when k = 3 and a complete search mod 3 finds no flow mod
+    3, or after a complete search; and what is left of budget.  Past budget
+    value assignments, those of the search mod 3 included, it raises
+    ResourceCapError (never a false "none"); a budget below 0 never runs
+    out.  Components are searched in turn, on g itself."""
     if k == 2 and any(g.degree(v) % 2 for v in range(g.n)):
-        return None, budget
-    if flow_obstruction(g) is not None:
         return None, budget
     if k == 3:
         residues, budget = _first_flow(g, 2, budget, modulus=3)
@@ -331,24 +333,22 @@ def _first_flow(
     return tuple(values), budget
 
 
+@per_graph("_flow_plan")
 def _search_plan(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Per component, its edges in search order (outside the spanning forest
     first, then the forest edges, each group in index order), and per edge,
     its tilt: the colour, +1 at even forest depth and -1 at odd, that its
-    ends share, or 0.  Kept in the graph's instance dict, so every bound of
-    a climb shares them."""
-    cache = vars(g)
-    if "_flow_plan" not in cache:
-        forest = spanning_forest(g)
-        comps = components(g)
-        where = {v: c for c, comp in enumerate(comps) for v in comp}
-        orders: list[list[int]] = [[] for _ in comps]
-        for i in sorted(range(g.m), key=lambda i: i in forest):
-            orders[where[g.edges[i][0]]].append(i)
-        colour = [1 - 2 * p for p in forest_parity(g)]
-        tilt = tuple(colour[u] if colour[u] == colour[v] else 0 for u, v in g.edges)
-        cache["_flow_plan"] = tuple(map(tuple, orders)), tilt
-    return cache["_flow_plan"]
+    ends share, or 0.  Kept with the graph, so every bound of a climb
+    shares them."""
+    forest = spanning_forest(g)
+    comps = components(g)
+    where = {v: c for c, comp in enumerate(comps) for v in comp}
+    orders: list[list[int]] = [[] for _ in comps]
+    for i in sorted(range(g.m), key=lambda i: i in forest):
+        orders[where[g.edges[i][0]]].append(i)
+    colour = [1 - 2 * p for p in forest_parity(g)]
+    tilt = tuple(colour[u] if colour[u] == colour[v] else 0 for u, v in g.edges)
+    return tuple(map(tuple, orders)), tilt
 
 
 def verify_flow(g: Graph, f: EdgeAssignment) -> bool:

@@ -8,13 +8,21 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from signrank.assignments import EdgeAssignment
 from signrank.errors import PreconditionError
-from signrank.factors import Factor, _table, count_factors
+from signrank.factors import _table, count_factors
 from signrank.graph_core import Graph, components, delete_edges, induced_subgraph, is_bipartite
-from signrank.zero_sum_flow import _search
+from signrank.zero_sum_flow import _search, flow_obstruction
+
+
+class Factor(NamedTuple):
+    """One {1,2}-factor as the listing writes it: K2 edges by index, and
+    cycles as edge-index tuples in canonical traversal order."""
+
+    k2_edges: tuple[int, ...]
+    cycles: tuple[tuple[int, ...], ...]
 
 
 def factor_choices(g: Graph, s: int) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]]:
@@ -201,10 +209,13 @@ def find_zero_sum_flow(
 ) -> EdgeAssignment | None:
     """The flow search at one bound k, outside least_bound_flow's climb: the
     first zero-sum flow with values in {+-1, ..., +-(k-1)}, or None when
-    there is none.  More than node_budget value assignments raise
-    ResourceCapError (never a false "none")."""
+    there is none (with no search when flow_obstruction proves it).  More
+    than node_budget value assignments raise ResourceCapError (never a
+    false "none")."""
     if k < 2:
         raise PreconditionError("flow bound k must be >= 2")
+    if flow_obstruction(g) is not None:
+        return None
     return _search(g, k, -1 if node_budget is None else node_budget)[0]
 
 

@@ -9,23 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import signrank
 from signrank import harness
 from signrank.factors import (
-    Factor,
     count_factors,
     count_factors_at_most,
     count_nonzero_transversals,
     factor_edges,
     has_factor,
     listing_json,
-    matching_factor,
+    matching_cycles,
     perrank_fast,
 )
 from signrank.graph_core import Graph, induced_subgraph
 
 from conftest import complete, cycle, grid, path, petersen, star
 from oracles import (
+    Factor,
     edge_membership,
     enumerate_factors,
     factor_choices,
@@ -37,6 +36,12 @@ from oracles import (
 def edge_set(f: Factor) -> frozenset[int]:
     """The edge indices of a factor, K2s and cycles together."""
     return frozenset(f.k2_edges).union(*f.cycles)
+
+
+def cycle_edges(g: Graph, cycles: tuple[tuple[int, ...], ...]) -> frozenset[int]:
+    """The edge indices of vertex cycles, a 2-cycle being one edge."""
+    index = {e: i for i, e in enumerate(g.edges)}
+    return frozenset(index[min(a, b), max(a, b)] for c in cycles for a, b in zip(c, c[1:] + c[:1]))
 
 
 def listed(g: Graph) -> list[Factor]:
@@ -373,7 +378,7 @@ class TestListingWalk:
 
 
 class TestMatchingTClass:
-    """count_factors_at_most up to 2, the factor of the double-cover
+    """count_factors_at_most up to 2, the cycles of the double-cover
     matching and the edges that some factor uses (factor_edges, against the
     full listing in tests/oracles.py), read without a factor table."""
 
@@ -385,11 +390,16 @@ class TestMatchingTClass:
         for limit in (0, 1, 2):
             assert count_factors_at_most(fresh, limit) == min(t, limit)
         assert factor_edges(fresh) == tuple(prof.present(i) for i in range(g.m))
-        f = matching_factor(fresh)
+        cycles = matching_cycles(fresh)
         assert "_factor_table" not in vars(fresh)
-        assert (f is None) == (t == 0)
+        assert (cycles is None) == (t == 0)
+        if cycles is not None:
+            # a factor: its cycles partition V, each from its least vertex
+            assert sorted(v for c in cycles for v in c) == list(range(g.n))
+            assert [c[0] for c in cycles] == sorted(min(c) for c in cycles)
+            assert all(len(c) == 2 or len(c) == len(cycle_edges(g, (c,))) for c in cycles)
         if t == 1:
-            assert f == next(iter_factors(g))
+            assert cycle_edges(g, cycles) == edge_set(next(iter_factors(g)))
 
     def test_corpora(self, corpus_le7, corpus_bipartite_2ec_n8):
         for g in corpus_le7 + corpus_bipartite_2ec_n8:
@@ -410,10 +420,9 @@ class TestMatchingTClass:
         # no step recurses: a path's and an odd cycle's unique factor, and
         # the second factor of an even cycle or a ladder, are found at any n
         assert count_factors_at_most(path(5000), 2) == 1
-        assert matching_factor(path(5000)) == Factor(tuple(range(0, 4999, 2)), ())
+        assert matching_cycles(path(5000)) == tuple((i, i + 1) for i in range(0, 5000, 2))
         assert count_factors_at_most(cycle(5001), 2) == 1
-        # cycle(5001)'s edges: (0, 1), (0, 5000), then (i, i + 1) at index i + 1
-        assert matching_factor(cycle(5001)) == Factor((), ((0, *range(2, 5001), 1),))
+        assert matching_cycles(cycle(5001)) == (tuple(range(5001)),)
         assert count_factors_at_most(cycle(5000), 2) == 2
         assert count_factors_at_most(grid(2, 2000), 2) == 2
         assert count_factors_at_most(path(5001), 2) == 0
@@ -595,9 +604,6 @@ class TestFactorContract:
         c = Factor((4,), ((0, 2, 3),))
         assert a == b and hash(a) == hash(b) and a != c
         assert len({a, b, c}) == 2
-
-    def test_exported(self):
-        assert signrank.Factor is Factor
 
 
 class TestPerrank:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -369,43 +370,42 @@ class TestOneCheckPerWitness:
 
 
 class TestDoubleCoverMatchings:
-    @pytest.mark.parametrize("command, theorem", [
-        ("analyze", None), ("verify", "t21"), ("verify", "c22"), ("weightfind", None),
-        ("verify", "t31")])
-    def test_one_matching_per_graph(self, monkeypatch, command, theorem):
+    COMMANDS = [("analyze", None), ("verify", "t21"), ("verify", "c22"), ("weightfind", None),
+                ("verify", "t31")]
+    # the builders that graph_core.per_graph keeps per graph, patched by name;
+    # the matching's cases are named by the command alone
+    BUILDERS = [(factors, "_double_cover_matching"), (factors, "_strong_components"),
+                (factors, "_FactorTable"), (zero_sum_flow, "_first_coloop")]
+
+    @pytest.mark.parametrize("command, theorem, module, builder", [
+        pytest.param(command, theorem, module, builder,
+                     id=f"{command}-{theorem}" + ("" if i == 0 else f"-{builder}"))
+        for (i, (module, builder)), (command, theorem) in product(enumerate(BUILDERS), COMMANDS)])
+    def test_one_matching_per_graph(self, monkeypatch, command, theorem, module, builder):
         # perrank, full_perrank, the sign search's factor gate and the
         # weight search's t-class all read one double-cover matching per
-        # record (every graph is kept, so no id is reused)
-        matched = []
-        original = factors._double_cover_matching
+        # record, and no builder runs twice on one graph (every graph is
+        # kept, so no id is reused).  Dlc has no flow and two factors, each
+        # edge in one, so its weight search goes on to the algebraic route,
+        # where the t-class and the drop step read one factor_edges pass;
+        # its root hunt matches subgraphs of its own
+        built = []
+        original = getattr(module, builder)
 
-        def counting(g):
-            matched.append(g)
-            return original(g)
+        def counting(arg):
+            built.append(arg)
+            return original(arg)
 
-        monkeypatch.setattr(factors, "_double_cover_matching", counting)
+        monkeypatch.setattr(module, builder, counting)
         graphs = [parse_graph6(encode_graph6(g)) for g in (
-            cycle(4), path(3), complete(5), petersen(), parse_graph6("FF~]o"))]
+            cycle(4), path(3), complete(5), petersen(), parse_graph6("FF~]o"),
+            parse_graph6("Dlc"))]
         run(graphs, RunConfig(command=command, theorem=theorem))
-        assert len({id(g) for g in matched}) == len(matched)
-        assert sorted(g.edges for g in matched) == sorted(g.edges for g in graphs)
-
-    def test_one_strong_component_pass_per_graph(self, monkeypatch):
-        # with no flow nodes the climb fails and the weight search goes on to
-        # the algebraic route: the t-class and the drop step read one
-        # factor_edges pass.  Every edge of these graphs lies in a factor,
-        # so no step recurses on a subgraph with a pass of its own
-        passes = []
-        original = factors._strong_components
-
-        def counting(succ):
-            passes.append(len(succ))
-            return original(succ)
-
-        monkeypatch.setattr(factors, "_strong_components", counting)
-        graphs = [petersen(), complete(5), complete(6)]
-        run(graphs, RunConfig(command="weightfind", caps=Caps(flow_nodes=0)))
-        assert passes == [10, 5, 6]
+        # a strong-component pass is known by its digraph
+        keys = [tuple(map(tuple, a)) if builder == "_strong_components" else id(a) for a in built]
+        assert len(set(keys)) == len(keys)
+        if builder == "_double_cover_matching":
+            assert {g.edges for g in graphs} <= {g.edges for g in built}
 
 
 class TestHeaderLine:
@@ -917,6 +917,13 @@ class TestCli:
         assert k4["values"] is None and k4["basis"] == "exhausted"
         assert "obstruction" not in k4
         assert k3["basis"] == "no_flow_exists" and k3["obstruction"]["d"] != 0
+
+    def test_zsf_huge_bound_on_a_flow_free_graph(self):
+        # the obstruction answers before the climb, so the bound costs nothing
+        res = run_cli(["zsf", "-", "--bound", "1000000000000"], stdin="A_\n")
+        assert res.returncode == 0, res.stderr
+        _, (rec,), _ = parse_report(res.stdout)
+        assert rec["basis"] == "no_flow_exists" and rec["k"] == 10**12
 
     def test_jobs_below_one_rejected(self):
         for jobs in ("0", "-3", "x"):

@@ -1,8 +1,10 @@
 """Every function, method and class defined in src/signrank has a use in the
 package itself, not only in the tests: its name is referenced somewhere in
 src/signrank outside its own definition.  An import in __init__.py is an
-export, not a use; dunders are called by Python itself.  And every name a
-module other than __init__.py imports is read in that module."""
+export, not a use; dunders are called by Python itself.  Every name a
+module other than __init__.py imports is read in that module.  And no
+module but graph_core calls vars(): per-graph state lives behind
+graph_core.per_graph."""
 
 import ast
 from collections import defaultdict
@@ -83,3 +85,27 @@ def test_detector_flags_an_import_the_module_never_reads():
 def test_every_import_is_read():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unused_imports(sources) == []
+
+
+def vars_callers(sources: dict[str, str]) -> list[str]:
+    """module:line of each call of vars() outside graph_core, over modules
+    given as name -> source."""
+    return sorted(
+        f"{mod}:{node.lineno}" for mod, text in sources.items() if mod != "graph_core"
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "vars")
+
+
+def test_detector_flags_vars_outside_graph_core():
+    sources = {
+        "graph_core": "def keep(g):\n    return vars(g)\n",
+        "a": "def f(g):\n    cache = vars(g)\n    return cache\n\n# vars(g) in a comment\n",
+        "b": "def h(g):\n    return g.vars(1), vars\n",
+    }
+    assert vars_callers(sources) == ["a:2"]
+
+
+def test_only_graph_core_reads_a_graphs_dict():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert vars_callers(sources) == []
